@@ -42,18 +42,16 @@ from .core import (
     as_probe,
     evaluate_cross_system,
     evaluate_few_runs,
-    get_model,
-    get_representation,
     summarize_ks,
 )
 from .simbench import benchmark_names, measure_all, run_campaign
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
-#: The stable v2 surface.  ``get_model``/``get_representation`` remain
-#: importable as deprecated shims over :mod:`repro.registry`; the online
-#: serving subsystem lives in :mod:`repro.serving` (imported on demand —
-#: ``import repro.serving``).  Deprecation policy: see README.md.
+#: The stable surface.  Components are looked up through
+#: :mod:`repro.registry`; the online serving subsystem lives in
+#: :mod:`repro.serving` (imported on demand — ``import repro.serving``).
+#: Deprecation policy: see README.md.
 __all__ = [
     "CrossSystemPredictor",
     "EvalConfig",
@@ -69,8 +67,6 @@ __all__ = [
     "registry",
     "evaluate_cross_system",
     "evaluate_few_runs",
-    "get_model",
-    "get_representation",
     "summarize_ks",
     "benchmark_names",
     "measure_all",

@@ -1,19 +1,16 @@
-"""DOC rule pack — public-API docstring coverage (ex ``tools/check_docs.py``).
+"""DOC rule pack — public-API docstring coverage.
 
 Every module, public module-level function/class and public method of a
 public class under the library tree must carry a docstring.  The gaps
 that predate the gate are pinned in :data:`ALLOWLIST` so coverage can
 only improve; when an allowlisted definition gains its docstring, the
 now-stale entry must be deleted (**DOC002**), shrinking the list over
-time.  ``tools/check_docs.py`` remains as a thin deprecated shim over
-the helpers here, so existing invocations and the tier-1 wrapper test
-keep working unchanged.
+time.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .core import Finding, Rule, register
@@ -22,8 +19,6 @@ from .walker import Project, Scope, SourceFile
 __all__ = [
     "ALLOWLIST",
     "iter_module_gaps",
-    "iter_gaps",
-    "check",
     "MissingDocstringRule",
     "StaleAllowlistRule",
 ]
@@ -80,32 +75,10 @@ def iter_module_gaps(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
 
 
 def _gap_key(relpath: str, qualname: str) -> str:
-    # Allowlist entries are relative to `src/` (historical format of
-    # tools/check_docs.py); strip the prefix when present.
+    # Allowlist entries are relative to `src/`; strip the prefix when
+    # present.
     rel = relpath[4:] if relpath.startswith("src/") else relpath
     return f"{rel}:{qualname}"
-
-
-def iter_gaps(src_root: Path) -> Iterator[str]:
-    """Yield ``"<relpath>:<qualname>"`` per undocumented definition.
-
-    Path-based variant retained for the ``tools/check_docs.py`` shim;
-    *src_root* is the ``src`` directory, and yielded paths are relative
-    to it.
-    """
-    for path in sorted(src_root.rglob("*.py")):
-        rel = path.relative_to(src_root).as_posix()
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for _node, qualname in iter_module_gaps(tree):
-            yield f"{rel}:{qualname}"
-
-
-def check(src_root: Path) -> tuple[list[str], list[str]]:
-    """(new gaps, stale allowlist entries) for *src_root*."""
-    gaps = set(iter_gaps(src_root))
-    missing = sorted(gaps - ALLOWLIST)
-    stale = sorted(ALLOWLIST - gaps)
-    return missing, stale
 
 
 @register

@@ -15,7 +15,6 @@ from .evaluation import (
     KSSummary,
     evaluate_cross_system,
     evaluate_few_runs,
-    get_model,
     summarize_ks,
 )
 from .features import FeatureConfig, feature_names, probe_features, profile_features
@@ -32,7 +31,6 @@ from .representations import (
     PearsonRndRepresentation,
     PyMaxEntRepresentation,
     ReconstructedDistribution,
-    get_representation,
 )
 from .sketch import (
     ASSUMPTIONS,
@@ -54,7 +52,6 @@ __all__ = [
     "KSSummary",
     "evaluate_cross_system",
     "evaluate_few_runs",
-    "get_model",
     "summarize_ks",
     "FeatureConfig",
     "feature_names",
@@ -78,5 +75,4 @@ __all__ = [
     "PearsonRndRepresentation",
     "PyMaxEntRepresentation",
     "ReconstructedDistribution",
-    "get_representation",
 ]

@@ -19,8 +19,8 @@ Model and representation fields accept either registry names (``"knn"``,
 instances.  Both classes are plain frozen dataclasses: derive variants
 with :func:`dataclasses.replace`.
 
-The old keyword call paths keep working as deprecation shims; see the
-README's deprecation policy.
+The bare-keyword call paths of the 2.x API were removed in 3.0.0; see
+the README's deprecation policy.
 """
 
 from __future__ import annotations

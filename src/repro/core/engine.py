@@ -26,18 +26,19 @@ Every cached artifact is a pure function of its key, which is what makes
 the sharing bit-identical to the naive per-cell recomputation: the same
 arrays flow into the same operations in the same order.
 
-Fold dispatch optionally fans out across processes via a
-:class:`~repro.parallel.worker_pool.WorkerPool` (the grid runners pass a
-persistent one; ad-hoc calls get a transient pool).  When the pool's
-shared-memory plane is available the engine *publishes* the feature and
-target matrices once per campaign/encoding and ships each fold as a tiny
-descriptor — ``(model, array refs, held-out benchmark, scaler params)``
-— instead of pickling per-fold matrix copies; the worker re-derives its
-``X[mask]``/``Y[mask]`` views from the shared arrays.  Folds are
+Every fold, on every path, runs :func:`_fit_predict_fold` on a tiny
+task — ``(model, array refs, held-out benchmark, probe row, scaler
+params)`` — and re-derives its ``X[mask]``/``Y[mask]`` views from the
+full design arrays.  Serial runs (``n_workers == 1``) call it
+in-process on the arrays themselves; pooled runs fan the same tasks out
+across a :class:`~repro.parallel.worker_pool.WorkerPool` (the grid
+runners pass a persistent one; ad-hoc calls get a transient pool),
+whose store publishes each array once — as a shared-memory segment, or
+inline in the task pickle where shared memory is unusable.  Folds are
 independent by construction — each held-out benchmark refit consumes
 only per-fold inputs, and the KS-scoring RNG is keyed per benchmark with
 :func:`~repro.parallel.seeding.seed_for` — so worker count, pool reuse
-and the dispatch plane (pickle vs shm) never change results.
+and the transport never change results.
 
 When :mod:`repro.obs` is enabled the engine emits per-fold ``fold``
 spans (serial path) or one ``fold_batch`` span (parallel dispatch) plus
@@ -71,77 +72,35 @@ _PROBE_SEED = 909090
 def _fit_predict_fold(task) -> np.ndarray:
     """Fit one LOGO fold and predict the held-out probe vector.
 
-    Top-level so it pickles for process-pool dispatch.  ``task`` is
-    ``(model, X_train_scaled, Y_train, x_probe_scaled)``; the clone makes
-    the fit independent of any sibling fold.
+    Top-level so it pickles for pool dispatch; the serial path calls it
+    in-process.  ``task`` is ``(model, refs, bench, probe, center,
+    scale)``: ``refs`` maps ``"Y"``, ``"groups"`` and the payload —
+    ``"X"``, or the binned ``"codes"``/``"n_bins"``/``"lo"``/``"hi"`` —
+    to refs that :func:`~repro.parallel.shm.attach` resolves.  The fold's
+    training rows are re-derived from the full arrays and put through
+    the parent-fitted robust scaler, so every transport feeds the model
+    bit-identical matrices.  Binned codes are invariant under that
+    scaling; only the bin bounds move.  The clone makes the fit
+    independent of any sibling fold.
     """
-    model, Xs, Ys, xp = task
-    return model.clone().fit(Xs, Ys).predict(xp)[0]
-
-
-def _fit_predict_fold_shm(task) -> np.ndarray:
-    """Zero-copy variant of :func:`_fit_predict_fold`.
-
-    ``task`` ships only descriptors: the shared-array refs of the full
-    ``(X, Y, groups)`` matrices, the held-out benchmark name, the raw
-    probe row and the parent-fitted robust-scaler parameters.  The
-    worker re-derives the per-fold training views from the shared
-    arrays and applies the identical affine transform, so the fitted
-    model consumes bit-for-bit the same matrices the pickling path
-    would have shipped.
-    """
-    model, x_ref, y_ref, g_ref, bench, probe, center, scale = task
-    X = attach(x_ref)
-    Y = attach(y_ref)
-    groups = attach(g_ref)
-    mask = groups != bench
+    model, refs, bench, probe, center, scale = task
+    arrays = {name: attach(ref) for name, ref in refs.items()}
+    mask = arrays["groups"] != bench
     scaler = RobustScaler()
     scaler.center_ = center
     scaler.scale_ = scale
-    Xs = scaler.transform(X[mask])
-    xp = scaler.transform(probe[None, :])
-    return model.clone().fit(Xs, Y[mask]).predict(xp)[0]
-
-
-def _fit_predict_fold_hist(task) -> np.ndarray:
-    """Binned-plane pickling variant of :func:`_fit_predict_fold`.
-
-    ``task`` is ``(model, fold_binned, Y_train, x_probe_scaled)`` where
-    ``fold_binned`` already carries the fold's training rows with bounds
-    re-expressed in its scaled feature space, so the worker fits X-free.
-    """
-    model, fb, Ys, xp = task
-    return model.clone().fit_binned(fb, Ys).predict(xp)[0]
-
-
-def _fit_predict_fold_hist_shm(task) -> np.ndarray:
-    """Zero-copy binned plane: fit from shared uint8 codes.
-
-    ``task`` ships the shared-array refs of the full binned matrix
-    (codes, per-feature bin counts and bounds) plus ``Y``/``groups``,
-    the held-out benchmark, the raw probe row and the parent-fitted
-    scaler parameters.  The worker rebuilds the fold's
-    :class:`~repro.ml.binning.BinnedMatrix` — codes are invariant under
-    the per-fold robust scaling, only the bounds move — and fits without
-    ever touching the float64 feature matrix.
-    """
-    (model, c_ref, nb_ref, lo_ref, hi_ref, y_ref, g_ref,
-     bench, probe, center, scale) = task
-    binned = BinnedMatrix(
-        codes=attach(c_ref),
-        n_bins=attach(nb_ref),
-        lo=attach(lo_ref),
-        hi=attach(hi_ref),
-    )
-    Y = attach(y_ref)
-    groups = attach(g_ref)
-    mask = groups != bench
-    fb = binned.scaled(center, scale).take_rows(mask)
-    scaler = RobustScaler()
-    scaler.center_ = center
-    scaler.scale_ = scale
-    xp = scaler.transform(probe[None, :])
-    return model.clone().fit_binned(fb, Y[mask]).predict(xp)[0]
+    fitted = model.clone()
+    if "codes" in arrays:
+        binned = BinnedMatrix(
+            codes=arrays["codes"],
+            n_bins=arrays["n_bins"],
+            lo=arrays["lo"],
+            hi=arrays["hi"],
+        )
+        fitted.fit_binned(binned.scaled(center, scale).take_rows(mask), arrays["Y"][mask])
+    else:
+        fitted.fit(scaler.transform(arrays["X"][mask]), arrays["Y"][mask])
+    return fitted.predict(scaler.transform(probe[None, :]))[0]
 
 
 def _hist_model(model: Regressor) -> bool:
@@ -149,27 +108,23 @@ def _hist_model(model: Regressor) -> bool:
     return getattr(model, "tree_method", None) == "hist"
 
 
-def _hist_dispatchable(model: Regressor) -> bool:
-    """Whether a hist model can fit X-free in a pool worker.
-
-    Boosting needs the raw matrix when row subsampling is on (the
-    running-prediction update walks rows the round never trained on);
-    everything else with a ``fit_binned`` entry point ships as codes.
-    """
-    if isinstance(model, GradientBoostingRegressor):
-        return model.subsample == 1.0  # repro: noqa[DET005]
-    return hasattr(model, "fit_binned")
-
-
 def _wants_serial(model: Regressor) -> bool:
-    """Whether fold dispatch must stay serial to preserve results.
+    """Whether folds must be fitted in-process, in order, from ``X``.
 
     A stateful ``np.random.Generator`` on the model is advanced by each
     successive fold in the serial path; pickling would hand every worker
-    the same generator state.  Registry models carry integer seeds and
-    parallelize freely.
+    the same generator state.  Hist boosting with row subsampling needs
+    the raw matrix (the running-prediction update walks rows the round
+    never trained on), so it cannot fit from codes alone.  Registry
+    models carry integer seeds and parallelize freely.
     """
-    return isinstance(getattr(model, "rng", None), np.random.Generator)
+    if isinstance(getattr(model, "rng", None), np.random.Generator):
+        return True
+    return (
+        isinstance(model, GradientBoostingRegressor)
+        and _hist_model(model)
+        and model.subsample != 1.0  # repro: noqa[DET005]
+    )
 
 
 def logo_fold_vectors(
@@ -190,209 +145,119 @@ def logo_fold_vectors(
     ``model`` on the rows of all *other* groups (robust-scaled) and
     predict the benchmark's probe vector.  Returns name -> vector.
 
-    ``scaled_folds`` optionally caches the per-fold scaler products
-    ``(X_train_scaled, x_probe_scaled, train_mask, scaler)`` keyed by
-    benchmark; they depend only on ``(X, probe_features)``, so a grid
-    sweep can share them across every (representation, model) cell with
-    the same feature rows.
+    ``scaled_folds`` optionally caches the per-fold fitted
+    :class:`~repro.ml.scaling.RobustScaler` keyed by benchmark; it
+    depends only on ``(X, groups)``, so a grid sweep can share it across
+    every (representation, model) cell and probe kind with the same
+    feature rows.
 
     ``pool`` optionally supplies a persistent
     :class:`~repro.parallel.worker_pool.WorkerPool`; without one, a
-    transient pool is created per call.  When the pool's shared-memory
-    plane is available, ``X``/``Y``/``groups`` are published once and
-    fold tasks ship only descriptors (see :func:`_fit_predict_fold_shm`).
+    transient pool is created per call.  The pool's store publishes the
+    payload once and fold tasks ship only its refs (see
+    :func:`_fit_predict_fold`).
 
     For a hist-mode model (``model.tree_method == "hist"``), ``binned``
     optionally supplies the pre-binned matrix of ``X`` (the engine's
     designs cache one per encoding); when absent it is built here.  The
-    per-fold training matrix is then derived by re-expressing the bin
-    bounds through the fold's scaler (codes are scale-invariant), so
-    the one-time binning pass is shared by every fold, and — for a
-    boosting model that satisfies :func:`~repro.ml.boosting.can_lockstep`
-    — all folds' round-``r`` trees grow as one batch in-process
-    regardless of ``n_workers`` (the batch kernel replaces fold-level
-    process fan-out).
+    payload is then the binned codes and bounds instead of ``X``, so the
+    one-time binning pass is shared by every fold, and — for a boosting
+    model that satisfies :func:`~repro.ml.boosting.can_lockstep` — all
+    folds' round-``r`` trees grow as one batch in-process regardless of
+    ``n_workers`` (the batch kernel replaces fold-level process fan-out).
 
     Results are bit-identical for any ``n_workers``, with or without a
-    persistent pool, on either dispatch plane: each fold consumes only
-    its own inputs and a deterministic model clone.
+    persistent pool, on either transport: each fold consumes only its
+    own inputs and a deterministic model clone.
     """
     names = sorted(probe_features)
     hist = _hist_model(model)
     if hist and binned is None:
         binned = BinMapper().fit_transform(X)
-    folds = []
+    scalers = []
     for bench in names:
-        cached = None if scaled_folds is None else scaled_folds.get(bench)
-        if cached is None:
+        scaler = None if scaled_folds is None else scaled_folds.get(bench)
+        if scaler is None:
             obs.counter("engine.scaled_folds.misses")
-            mask = groups != bench
-            scaler = RobustScaler().fit(X[mask])
-            cached = (
-                scaler.transform(X[mask]),
-                scaler.transform(probe_features[bench][None, :]),
-                mask,
-                scaler,
-            )
+            scaler = RobustScaler().fit(X[groups != bench])
             if scaled_folds is not None:
-                scaled_folds[bench] = cached
+                scaled_folds[bench] = scaler
         else:
             obs.counter("engine.scaled_folds.hits")
-        folds.append(cached)
-    obs.counter("engine.folds.fitted", len(folds))
-    if hist and can_lockstep(model, [f[2] for f in folds]):
+        scalers.append(scaler)
+    obs.counter("engine.folds.fitted", len(names))
+    if hist and can_lockstep(model, [groups != bench for bench in names]):
         # Lockstep beats fold-level process fan-out here (one kernel
         # call covers every fold), so it runs in-process for any
         # n_workers — which also makes worker-count invariance trivial.
         lockstep_folds = [
-            (mask, scaler.center_, scaler.scale_, xp[0])
-            for (_Xs, xp, mask, scaler) in folds
+            (groups != bench, scaler.center_, scaler.scale_,
+             scaler.transform(probe_features[bench][None, :])[0])
+            for bench, scaler in zip(names, scalers)
         ]
-        with obs.span("fold_batch", n_folds=len(folds), n_workers=1,
+        with obs.span("fold_batch", n_folds=len(names), n_workers=1,
                       plane="lockstep"):
             preds = fit_predict_folds(model, binned, Y, lockstep_folds)
         return dict(zip(names, preds))
-    if (
-        n_workers == 1
-        or _wants_serial(model)
-        or (hist and not _hist_dispatchable(model))
-    ):
-        vectors = []
-        for bench, (Xs, xp, mask, scaler) in zip(names, folds):
+    vectors = []
+    if _wants_serial(model):
+        for bench, scaler in zip(names, scalers):
+            mask = groups != bench
+            fit_kw = {}
+            if hist:
+                fit_kw["binned"] = binned.scaled(
+                    scaler.center_, scaler.scale_
+                ).take_rows(mask)
             with obs.span("fold", benchmark=bench):
-                if hist:
-                    fb = binned.scaled(
-                        scaler.center_, scaler.scale_
-                    ).take_rows(mask)
-                    vectors.append(
-                        model.clone().fit(Xs, Y[mask], binned=fb).predict(xp)[0]
-                    )
-                else:
-                    vectors.append(_fit_predict_fold((model, Xs, Y[mask], xp)))
+                fitted = model.clone().fit(scaler.transform(X[mask]), Y[mask], **fit_kw)
+                xp = scaler.transform(probe_features[bench][None, :])
+                vectors.append(fitted.predict(xp)[0])
         return dict(zip(names, vectors))
-    hist_binned = binned if hist else None
-    if pool is not None:
-        vectors = _dispatch_folds(pool, model, X, Y, groups, names, folds,
-                                  probe_features, n_workers,
-                                  binned=hist_binned)
+    if hist:
+        payload = {"codes": binned.codes, "n_bins": binned.n_bins,
+                   "lo": binned.lo, "hi": binned.hi}
+    else:
+        payload = {"X": X}
+    payload.update(Y=Y, groups=groups)
+    folds = [
+        (bench, probe_features[bench], scaler.center_, scaler.scale_)
+        for bench, scaler in zip(names, scalers)
+    ]
+    if n_workers == 1:
+        # The arrays are their own (inline) refs in-process.
+        for fold in folds:
+            with obs.span("fold", benchmark=fold[0]):
+                vectors.append(_fit_predict_fold((model, payload, *fold)))
+    elif pool is not None:
+        vectors = _dispatch_folds(pool, model, payload, folds, n_workers)
     else:
         with WorkerPool(n_workers) as transient:
-            vectors = _dispatch_folds(transient, model, X, Y, groups, names,
-                                      folds, probe_features, n_workers,
-                                      binned=hist_binned)
+            vectors = _dispatch_folds(transient, model, payload, folds, n_workers)
     return dict(zip(names, vectors))
 
 
 def _dispatch_folds(
     pool: WorkerPool,
     model: Regressor,
-    X: np.ndarray,
-    Y: np.ndarray,
-    groups: np.ndarray,
-    names: list[str],
+    payload: dict[str, np.ndarray],
     folds: list[tuple],
-    probe_features: dict[str, np.ndarray],
     n_workers: int,
-    binned: BinnedMatrix | None = None,
 ) -> list[np.ndarray]:
-    """Fan folds out through *pool*, zero-copy when shared memory works.
+    """Fan *folds* out through *pool*, publishing *payload* once.
 
-    With ``binned`` (hist-mode models), the published payload is the
-    uint8 code matrix plus its bin bounds instead of the float64
-    features — codes are 8x smaller than ``X`` and the bounds cap at
-    ``max_bins`` rows per feature, so the published bytes stop scaling
-    with row count.  Publication failures (shm mount vanished mid-run)
-    degrade to the pickling plane; all planes produce bit-identical
-    vectors.
+    The pool's store decides the transport (shared memory, or inline
+    refs pickled with the tasks); the published arrays are deduplicated
+    by identity, so a design's matrices are published once per run.
     """
-    if binned is not None:
-        return _dispatch_folds_hist(
-            pool, model, binned, Y, groups, names, folds, probe_features,
-            n_workers,
-        )
     store = pool.shm
-    refs = None
-    if store is not None:
-        try:
-            refs = (store.publish(X), store.publish(Y), store.publish(groups))
-        except Exception:
-            refs = None
-    if refs is not None:
-        x_ref, y_ref, g_ref = refs
-        tasks = []
-        saved = 0
-        for bench, (Xs, xp, mask, scaler) in zip(names, folds):
-            tasks.append(
-                (model, x_ref, y_ref, g_ref, bench, probe_features[bench],
-                 scaler.center_, scaler.scale_)
-            )
-            saved += Xs.nbytes + xp.nbytes + int(mask.sum()) * Y.shape[1] * Y.itemsize
-        obs.counter("pool.shm_bytes_saved", saved)
-        fold_fn, plane = _fit_predict_fold_shm, "shm"
-    else:
-        tasks = [
-            (model, Xs, Y[mask], xp) for Xs, xp, mask, _scaler in folds
-        ]
-        fold_fn, plane = _fit_predict_fold, "pickle"
-    with obs.span("fold_batch", n_folds=len(tasks), n_workers=n_workers,
-                  plane=plane):
-        return pool.map(fold_fn, tasks)
-
-
-def _dispatch_folds_hist(
-    pool: WorkerPool,
-    model: Regressor,
-    binned: BinnedMatrix,
-    Y: np.ndarray,
-    groups: np.ndarray,
-    names: list[str],
-    folds: list[tuple],
-    probe_features: dict[str, np.ndarray],
-    n_workers: int,
-) -> list[np.ndarray]:
-    """Binned-plane fold fan-out: workers fit from shared uint8 codes."""
-    store = pool.shm
-    refs = None
-    if store is not None:
-        try:
-            refs = (
-                store.publish(binned.codes),
-                store.publish(binned.n_bins),
-                store.publish(binned.lo),
-                store.publish(binned.hi),
-                store.publish(Y),
-                store.publish(groups),
-            )
-        except Exception:
-            refs = None
-    if refs is not None:
-        c_ref, nb_ref, lo_ref, hi_ref, y_ref, g_ref = refs
-        tasks = []
-        saved = 0
-        bounds_bytes = binned.n_bins.nbytes + binned.lo.nbytes + binned.hi.nbytes
-        for bench, (_Xs, xp, mask, scaler) in zip(names, folds):
-            tasks.append(
-                (model, c_ref, nb_ref, lo_ref, hi_ref, y_ref, g_ref,
-                 bench, probe_features[bench], scaler.center_, scaler.scale_)
-            )
-            m = int(mask.sum())
-            saved += (
-                m * binned.n_features * binned.codes.itemsize
-                + bounds_bytes
-                + m * Y.shape[1] * Y.itemsize
-                + xp.nbytes
-            )
-        obs.counter("pool.shm_bytes_saved", saved)
-        fold_fn, plane = _fit_predict_fold_hist_shm, "hist-shm"
-    else:
-        tasks = []
-        for bench, (_Xs, xp, mask, scaler) in zip(names, folds):
-            fb = binned.scaled(scaler.center_, scaler.scale_).take_rows(mask)
-            tasks.append((model, fb, Y[mask], xp))
-        fold_fn, plane = _fit_predict_fold_hist, "hist-pickle"
-    with obs.span("fold_batch", n_folds=len(tasks), n_workers=n_workers,
-                  plane=plane):
-        return pool.map(fold_fn, tasks)
+    refs = {name: store.publish(array) for name, array in payload.items()}
+    if store.transport == "shm":
+        # What the tasks would carry if each were pickled on its own.
+        per_task = sum(array.nbytes for array in payload.values())
+        obs.counter("pool.shm_bytes_saved", per_task * len(folds))
+    with obs.span("fold_batch", n_folds=len(folds), n_workers=n_workers,
+                  plane=store.transport):
+        return pool.map(_fit_predict_fold, [(model, refs, *fold) for fold in folds])
 
 
 class _VectorCacheMixin:
@@ -526,7 +391,6 @@ class FewRunsDesign(_VectorCacheMixin):
         self._targets: dict[str, np.ndarray] = {}
         self._scaled_folds: dict = {}
         self._sketch_features: dict[str, dict[str, np.ndarray]] = {}
-        self._sketch_scaled_folds: dict[str, dict] = {}
 
     def sketch_probe_features(self, probe_spec) -> dict[str, np.ndarray]:
         """Per-benchmark eval features recovered from sketched probes.
@@ -581,13 +445,8 @@ class FewRunsDesign(_VectorCacheMixin):
         binned = self._binned_matrix(self.X, "uc1") if _hist_model(model) else None
         if probe_spec is None:
             probe_features_map = self.probe_features
-            scaled_folds = self._scaled_folds
         else:
-            # The scaled-folds cache stores x_probe_scaled per benchmark,
-            # so sketch evaluations get their own dict per spec — sharing
-            # the sample-path cache would poison both.
             probe_features_map = self.sketch_probe_features(probe_spec)
-            scaled_folds = self._sketch_scaled_folds.setdefault(probe_spec.key, {})
         return logo_fold_vectors(
             self.X,
             self.target_matrix(representation),
@@ -595,7 +454,7 @@ class FewRunsDesign(_VectorCacheMixin):
             probe_features_map,
             model,
             n_workers=n_workers,
-            scaled_folds=scaled_folds,
+            scaled_folds=self._scaled_folds,
             pool=pool,
             binned=binned,
         )
@@ -660,7 +519,7 @@ class CrossSystemDesign(_VectorCacheMixin):
         self.groups = np.asarray(groups)
         self._matrices: dict[str, tuple] = {}
         self._sketch_probes: dict[str, dict] = {}
-        self._sketch_matrices: dict[tuple[str, str], tuple] = {}
+        self._sketch_rows: dict[tuple[str, str], dict[str, np.ndarray]] = {}
 
     def sketch_probe_features(
         self, representation: DistributionRepresentation, probe_spec
@@ -673,9 +532,9 @@ class CrossSystemDesign(_VectorCacheMixin):
         both blocks from the sketch.  Cached per (encoding, spec) pair.
         """
         key = (representation.encoding_key, probe_spec.key)
-        hit = self._sketch_matrices.get(key)
+        hit = self._sketch_rows.get(key)
         if hit is not None:
-            return hit[0]
+            return hit
         probes = self._sketch_probes.get(probe_spec.key)
         if probes is None:
             probes = {
@@ -692,7 +551,7 @@ class CrossSystemDesign(_VectorCacheMixin):
             )
             for name, p in probes.items()
         }
-        self._sketch_matrices[key] = (rows, {})
+        self._sketch_rows[key] = rows
         return rows
 
     def rows(self, representation: DistributionRepresentation):
@@ -738,13 +597,8 @@ class CrossSystemDesign(_VectorCacheMixin):
         X, Y, probe, folds = self._encoded(representation)
         if probe_spec is not None:
             # Training matrices stay full-sample; only the held-out
-            # evaluation rows switch to sketch recovery.  The fold cache
-            # is per (encoding, spec) — its x_probe_scaled entries are
-            # probe-dependent.
+            # evaluation rows switch to sketch recovery.
             probe = self.sketch_probe_features(representation, probe_spec)
-            folds = self._sketch_matrices[
-                (representation.encoding_key, probe_spec.key)
-            ][1]
         # Use case 2's feature rows embed the encoded source
         # distribution, so the binned matrix is per encoding.
         binned = (

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from .._deprecation import warn_deprecated
 from .._validation import check_random_state
 from ..data.dataset import RunCampaign
 from ..data.table import ColumnTable
@@ -29,13 +28,11 @@ from ..ml.forest import RandomForestRegressor
 from ..ml.knn import KNNRegressor
 from ..parallel.seeding import seed_for
 from ..simbench.suites import suite_of
-from .config import DEFAULT_EVAL_SEED, EvalConfig
-from .engine import CrossSystemDesign, FewRunsDesign, logo_fold_vectors
-from .features import FeatureConfig
+from .config import EvalConfig
+from .engine import CrossSystemDesign, FewRunsDesign
 from .representations import DistributionRepresentation
 
 __all__ = [
-    "get_model",
     "MODELS",
     "score_fold_vectors",
     "score_vector_sets",
@@ -43,9 +40,6 @@ __all__ = [
     "evaluate_cross_system",
     "summarize_ks",
 ]
-
-_EVAL_SEED = DEFAULT_EVAL_SEED
-
 
 def _make_knn() -> Regressor:
     return KNNRegressor(15, metric="cosine")
@@ -79,71 +73,6 @@ MODELS: dict[str, object] = {
     "rf": _make_rf,
     "xgboost": _make_xgboost,
 }
-
-
-def get_model(name: str) -> Regressor:
-    """Deprecated shim: fresh registered model (use :mod:`repro.registry`)."""
-    from .. import registry
-
-    warn_deprecated("repro.core.evaluation.get_model", "repro.registry.model")
-    return registry.model(name)
-
-
-def _legacy_eval_config(
-    *,
-    representation,
-    model,
-    n_probe_runs,
-    n_replicas,
-    feature_config,
-    seed,
-    n_workers,
-    api: str,
-) -> EvalConfig:
-    """Fold v1 keyword sprawl into an :class:`EvalConfig` (with warning).
-
-    The shim keeps the v1 defaults exactly (``None`` marks "not passed")
-    so legacy call sites produce bit-identical results to the seed API.
-    """
-    warn_deprecated(
-        f"calling {api} with bare keyword arguments",
-        f"{api}(campaigns, config=EvalConfig(...))",
-        stacklevel=4,
-    )
-    if representation is None or model is None:
-        raise ValidationError(
-            "representation and model are required (or pass config=EvalConfig(...))"
-        )
-    return EvalConfig(
-        representation=representation,
-        model=model,
-        n_probe_runs=10 if n_probe_runs is None else n_probe_runs,
-        n_replicas=n_replicas,
-        feature_config=feature_config,
-        seed=_EVAL_SEED if seed is None else seed,
-        n_workers=1 if n_workers is None else n_workers,
-    )
-
-
-def _coalesce_config(
-    config: EvalConfig | None,
-    api: str,
-    legacy: dict,
-) -> EvalConfig:
-    """Resolve the v2 ``config`` argument against v1 keywords.
-
-    Mixing both is an error; a missing config routes through the
-    deprecation shim.
-    """
-    if config is not None:
-        passed = sorted(k for k, v in legacy.items() if v is not None)
-        if passed:
-            raise ValidationError(
-                f"pass either config=EvalConfig(...) or legacy keywords, "
-                f"not both (got config plus {passed})"
-            )
-        return config
-    return _legacy_eval_config(api=api, **legacy)
 
 
 def score_fold_vectors(
@@ -222,45 +151,23 @@ def score_vector_sets(
     ]
 
 
-def _logo_ks(
-    X: np.ndarray,
-    Y: np.ndarray,
-    groups: np.ndarray,
-    model: Regressor,
-    representation: DistributionRepresentation,
-    probe_features: dict[str, np.ndarray],
-    measured: dict[str, np.ndarray],
-    *,
-    seed: int,
-    n_workers: int = 1,
-) -> ColumnTable:
-    """Shared LOGO loop: refit per held-out benchmark, score KS."""
-    vectors = logo_fold_vectors(
-        X, Y, groups, probe_features, model, n_workers=n_workers
-    )
-    return score_fold_vectors(vectors, representation, measured, seed=seed)
+def _require_config(config: EvalConfig | None, api: str) -> EvalConfig:
+    """*config*, or a :class:`ValidationError` naming the calling convention."""
+    if not isinstance(config, EvalConfig):
+        raise ValidationError(f"{api} needs config=EvalConfig(...), got {config!r}")
+    return config
 
 
 def evaluate_few_runs(
     campaigns: dict[str, RunCampaign] | None = None,
     config: EvalConfig | None = None,
     *,
-    representation: DistributionRepresentation | str | None = None,
-    model: Regressor | str | None = None,
-    n_probe_runs: int | None = None,
-    n_replicas: int | None = None,
-    feature_config: FeatureConfig | None = None,
-    seed: int | None = None,
-    n_workers: int | None = None,
     design: FewRunsDesign | None = None,
     pool=None,
 ) -> ColumnTable:
     """Use-case-1 LOGO evaluation; one KS score per benchmark.
 
-    The v2 calling convention is ``evaluate_few_runs(campaigns,
-    config=EvalConfig(...))``; the bare keyword arguments are the
-    deprecated v1 path (kept bit-identical, but emitting
-    :class:`DeprecationWarning`).
+    Called as ``evaluate_few_runs(campaigns, config=EvalConfig(...))``.
 
     The evaluation probe of each benchmark is drawn with a seed stream
     disjoint from the training replicas, so a held-out application is
@@ -274,19 +181,7 @@ def evaluate_few_runs(
     persistent :class:`~repro.parallel.WorkerPool` as ``pool`` to reuse
     warm workers (and their shared-memory plane) across calls.
     """
-    cfg = _coalesce_config(
-        config,
-        "evaluate_few_runs",
-        dict(
-            representation=representation,
-            model=model,
-            n_probe_runs=n_probe_runs,
-            n_replicas=n_replicas,
-            feature_config=feature_config,
-            seed=seed,
-            n_workers=n_workers,
-        ),
-    )
+    cfg = _require_config(config, "evaluate_few_runs")
     rep = cfg.resolve_representation()
     if design is None:
         if campaigns is None:
@@ -310,52 +205,33 @@ def evaluate_few_runs(
 
 
 def evaluate_cross_system(
-    source_campaigns: dict[str, RunCampaign] | None = None,
-    target_campaigns: dict[str, RunCampaign] | None = None,
+    source: dict[str, RunCampaign] | None = None,
+    target: dict[str, RunCampaign] | None = None,
     config: EvalConfig | None = None,
     *,
-    representation: DistributionRepresentation | str | None = None,
-    model: Regressor | str | None = None,
-    n_replicas: int | None = None,
-    feature_config: FeatureConfig | None = None,
-    seed: int | None = None,
-    n_workers: int | None = None,
     design: CrossSystemDesign | None = None,
     pool=None,
 ) -> ColumnTable:
     """Use-case-2 LOGO evaluation; one KS score per benchmark.
 
-    The v2 calling convention is ``evaluate_cross_system(src, dst,
-    config=EvalConfig(...))``; bare keywords are the deprecated v1 path.
+    Called as ``evaluate_cross_system(src, dst, config=EvalConfig(...))``.
     Accepts a prebuilt :class:`~repro.core.engine.CrossSystemDesign` like
     :func:`evaluate_few_runs` does for use case 1, and a persistent
     ``pool`` like it too.
     """
-    cfg = _coalesce_config(
-        config,
-        "evaluate_cross_system",
-        dict(
-            representation=representation,
-            model=model,
-            n_probe_runs=None,
-            n_replicas=n_replicas,
-            feature_config=feature_config,
-            seed=seed,
-            n_workers=n_workers,
-        ),
-    )
+    cfg = _require_config(config, "evaluate_cross_system")
     rep = cfg.resolve_representation()
     if design is None:
-        if source_campaigns is None or target_campaigns is None:
+        if source is None or target is None:
             raise ValidationError("need campaigns or a prebuilt design")
-        common = sorted(set(source_campaigns) & set(target_campaigns))
+        common = sorted(set(source) & set(target))
         if len(common) < 2:
             raise ValidationError(
                 "need at least two benchmarks common to both systems"
             )
         design = CrossSystemDesign(
-            {k: source_campaigns[k] for k in common},
-            {k: target_campaigns[k] for k in common},
+            {k: source[k] for k in common},
+            {k: target[k] for k in common},
             n_replicas=cfg.replicas(4),
             feature_config=cfg.feature_config,
             seed=cfg.seed,

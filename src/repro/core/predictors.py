@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._deprecation import warn_deprecated
 from ..data.dataset import RunCampaign
 from ..errors import NotFittedError, ValidationError
 from ..ml.base import Regressor
@@ -265,15 +264,15 @@ class CrossSystemPredictor:
 
     def fit(
         self,
-        source_campaigns: dict[str, RunCampaign],
-        target_campaigns: dict[str, RunCampaign],
+        source: dict[str, RunCampaign],
+        target: dict[str, RunCampaign],
         *,
         exclude: tuple[str, ...] = (),
     ) -> "CrossSystemPredictor":
         """Train the system-to-system mapping."""
         excl = set(exclude)
-        src = {k: v for k, v in source_campaigns.items() if k not in excl}
-        dst = {k: v for k, v in target_campaigns.items() if k not in excl}
+        src = {k: v for k, v in source.items() if k not in excl}
+        dst = {k: v for k, v in target.items() if k not in excl}
         X, Y, groups = build_cross_system_rows(
             src,
             dst,
@@ -291,36 +290,14 @@ class CrossSystemPredictor:
         if not hasattr(self, "model_"):
             raise NotFittedError("CrossSystemPredictor.fit has not been called")
 
-    def _resolve_probe_argument(self, probe, source_campaign, *, method: str):
-        """Unify the ``probe=`` argument with the legacy keyword shim."""
-        if source_campaign is not None:
-            if probe is not None:
-                raise ValidationError(
-                    f"pass either probe= or the deprecated source_campaign= "
-                    f"to {method}, not both"
-                )
-            warn_deprecated(
-                f"CrossSystemPredictor.{method}(source_campaign=...)",
-                f"CrossSystemPredictor.{method}(probe)",
-                stacklevel=4,
-            )
-            probe = source_campaign
-        if probe is None:
-            raise ValidationError(f"{method} needs a probe")
-        return probe
-
-    def predict_vector(self, probe=None, *, source_campaign=None) -> np.ndarray:
+    def predict_vector(self, probe) -> np.ndarray:
         """Predicted target-system representation vector.
 
         *probe* is any :data:`~repro.core.sketch.Probe` input measured on
         the **source** system; sketch probes recover both the profile
         features and the encoded source distribution from percentiles.
-        The ``source_campaign=`` keyword is a deprecated alias.
         """
         self._check_fitted()
-        probe = self._resolve_probe_argument(
-            probe, source_campaign, method="predict_vector"
-        )
         assumption = getattr(self, "assumption", "lognormal")
         if isinstance(probe, RunCampaign):
             x = np.concatenate(
@@ -343,11 +320,6 @@ class CrossSystemPredictor:
             )[None, :]
         return self.model_.predict(self.scaler_.transform(x))[0]
 
-    def predict_distribution(
-        self, probe=None, *, source_campaign=None
-    ) -> ReconstructedDistribution:
+    def predict_distribution(self, probe) -> ReconstructedDistribution:
         """Predicted relative-time distribution on the target system."""
-        probe = self._resolve_probe_argument(
-            probe, source_campaign, method="predict_distribution"
-        )
         return self.representation.reconstruct(self.predict_vector(probe))

@@ -38,7 +38,6 @@ __all__ = [
     "HistogramRepresentation",
     "PyMaxEntRepresentation",
     "PearsonRndRepresentation",
-    "get_representation",
     "REPRESENTATIONS",
 ]
 
@@ -331,14 +330,3 @@ def _register_extensions() -> None:
 
     REPRESENTATIONS["quantile"] = QuantileRepresentation
 
-
-def get_representation(name: str, **kwargs) -> DistributionRepresentation:
-    """Deprecated shim: representation by name (use :mod:`repro.registry`)."""
-    from .. import registry
-    from .._deprecation import warn_deprecated
-
-    warn_deprecated(
-        "repro.core.representations.get_representation",
-        "repro.registry.representation",
-    )
-    return registry.representation(name, **kwargs)

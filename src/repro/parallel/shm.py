@@ -1,4 +1,4 @@
-"""Shared-memory array plane for zero-copy fold dispatch.
+"""Array transport for fold dispatch: shared memory, or inline pickling.
 
 Pickling a full copy of the fold matrices into every process-pool task
 is the dominant dispatch cost of the LOGO sweeps: the ``pool.*`` payload
@@ -11,17 +11,21 @@ view of the very same bytes.
 
 Design points:
 
+* **The store owns the transport choice.**  :meth:`SharedArrayStore.publish`
+  always returns a ref.  Where shared memory is unusable —
+  :func:`shm_available` fails its probe, or creating a segment raises
+  (the mount vanished mid-run) — the ref is *inline*: the array itself,
+  which is pickled along with the task.  :func:`attach` resolves both
+  kinds, so callers never branch on the transport.
 * **Publication is deduplicated by object identity.**  The store keeps a
   reference to every published array, so publishing the same matrix for
   each of nine grid cells maps it exactly once.
 * **Segments always get unlinked.**  :class:`SharedArrayStore` is a
   context manager; :meth:`SharedArrayStore.close` is idempotent and runs
   from ``finally`` blocks and pool shutdown, so no ``/dev/shm`` entries
-  leak even when a dispatch raises.
-* **Graceful degradation.**  Sandboxes without a usable shared-memory
-  mount (and builds without the module) make :func:`shm_available`
-  return ``False``; callers fall back to the pickling path.  The
-  ``REPRO_SHM=0`` environment variable forces the fallback.
+  leak even when a dispatch raises.  Workers forked from the parent
+  share its resource tracker, so their attachments stay registered
+  under the parent's name and the parent's unlink retires them.
 * Worker-side attachments are cached per process (bounded LRU) so a
   persistent pool does not re-map the segment for every task.
 
@@ -31,7 +35,6 @@ metrics documented in ``docs/OBSERVABILITY.md``.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -52,26 +55,13 @@ _ATTACHED: "OrderedDict[str, object]" = OrderedDict()
 _PROBE_RESULT: bool | None = None
 
 
-def _shm_disabled_by_env() -> bool:
-    return os.environ.get("REPRO_SHM", "1").strip().lower() in (
-        "0",
-        "off",
-        "false",
-        "no",
-    )
-
-
 def shm_available() -> bool:
     """Whether shared-memory segments can be created in this environment.
 
     Probes once per process by creating (and immediately unlinking) a
     tiny segment; sandboxes that forbid ``/dev/shm`` fail the probe and
-    every caller takes the pickling fallback.  ``REPRO_SHM=0`` disables
-    the plane without probing (checked on every call, so tests and
-    benchmarks can flip it at runtime).
+    every store publishes inline refs instead.
     """
-    if _shm_disabled_by_env():
-        return False
     global _PROBE_RESULT
     if _PROBE_RESULT is None:
         try:
@@ -105,13 +95,13 @@ class ArrayRef:
 
 
 class SharedArrayStore:
-    """Parent-side registry of shared-memory segments for one run.
+    """Parent-side registry of published arrays for one run.
 
-    ``publish`` copies an array into a fresh segment (C-contiguous) and
-    returns its :class:`ArrayRef`; publishing the same array object again
-    returns the existing ref.  ``close`` unlinks everything.  Intended
-    lifetime is one experiment run — typically owned by a
-    :class:`~repro.parallel.worker_pool.WorkerPool` and closed with it.
+    ``publish`` returns a ref for an array; publishing the same array
+    object again returns the existing ref.  ``close`` unlinks every
+    segment.  Intended lifetime is one experiment run — typically owned
+    by a :class:`~repro.parallel.worker_pool.WorkerPool` and closed with
+    it.
     """
 
     def __init__(self) -> None:
@@ -119,6 +109,7 @@ class SharedArrayStore:
         self._refs: dict[int, ArrayRef] = {}
         self._pinned: list[np.ndarray] = []  # keeps ids stable for dedup
         self._bytes_mapped = 0
+        self._inline = False
         self._closed = False
 
     @property
@@ -131,24 +122,37 @@ class SharedArrayStore:
         """Number of live segments owned by this store."""
         return len(self._segments)
 
-    def publish(self, array: np.ndarray) -> ArrayRef:
-        """Copy *array* into a shared segment and return its descriptor.
+    @property
+    def transport(self) -> str:
+        """``"shm"`` while segments can be created, else ``"inline"``."""
+        return "inline" if self._inline or not shm_available() else "shm"
 
-        Deduplicated by object identity: the store pins a reference to
-        every published array, so repeated publication of the same
-        matrix (one per grid cell) maps it once.  Raises ``OSError``
-        (or ``ImportError``) when shared memory is unusable — callers
-        are expected to fall back to pickled dispatch.
+    def publish(self, array: np.ndarray) -> ArrayRef | np.ndarray:
+        """Publish *array* for fold tasks and return its ref.
+
+        While :attr:`transport` is ``"shm"`` the array is copied into a
+        fresh shared segment (C-contiguous) and the ref is its
+        :class:`ArrayRef`, deduplicated by object identity: the store
+        pins every published array, so repeated publication of the same
+        matrix (one per grid cell) maps it once.  Otherwise the ref is
+        the array itself, pickled with each task.  A segment that cannot
+        be created switches the store to inline for the rest of its life.
         """
         if self._closed:
             raise RuntimeError("SharedArrayStore is closed")
         ref = self._refs.get(id(array))
         if ref is not None:
             return ref
-        from multiprocessing import shared_memory
-
+        if self.transport == "inline":
+            return array
         arr = np.ascontiguousarray(array)
-        seg = shared_memory.SharedMemory(create=True, size=max(arr.nbytes, 1))
+        try:
+            from multiprocessing import shared_memory
+
+            seg = shared_memory.SharedMemory(create=True, size=max(arr.nbytes, 1))
+        except (OSError, ImportError):
+            self._inline = True
+            return array
         try:
             view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
             view[...] = arr
@@ -190,37 +194,25 @@ class SharedArrayStore:
         self.close()
 
 
-def _untrack(seg) -> None:
-    """Detach *seg* from the resource tracker (worker-side attachments).
-
-    CPython < 3.13 registers attached segments with the resource
-    tracker as if the attaching process owned them, which produces
-    spurious "leaked shared_memory" warnings (and double unlinks) at
-    worker exit.  The parent owns the lifecycle here, so attachments
-    must not be tracked.
-    """
-    try:  # pragma: no cover - depends on interpreter internals
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:  # pragma: no cover
-        pass
-
-
-def attach(ref: ArrayRef) -> np.ndarray:
+def attach(ref: ArrayRef | np.ndarray) -> np.ndarray:
     """Read-only NumPy view of a published array (worker side).
 
-    Maps the segment on first use and caches the mapping per process
-    (bounded LRU), so a persistent worker re-maps nothing across tasks.
-    The view is marked non-writable: fold tasks must treat shared inputs
-    as immutable — writing would race with sibling workers.
+    An inline ref is the array itself.  A shared segment is mapped on
+    first use and the mapping cached per process (bounded LRU), so a
+    persistent worker re-maps nothing across tasks.  The view is marked
+    non-writable: fold tasks must treat their inputs as immutable —
+    writing would race with sibling workers, or in-process, corrupt the
+    caller's matrices.
     """
+    if isinstance(ref, np.ndarray):
+        view = ref.view()
+        view.flags.writeable = False
+        return view
     seg = _ATTACHED.get(ref.segment)
     if seg is None:
         from multiprocessing import shared_memory
 
         seg = shared_memory.SharedMemory(name=ref.segment, create=False)
-        _untrack(seg)
         _ATTACHED[ref.segment] = seg
         while len(_ATTACHED) > _ATTACH_CACHE_SIZE:
             _, old = _ATTACHED.popitem(last=False)

@@ -1,4 +1,4 @@
-"""Persistent process pool with adaptive chunking and shm publication.
+"""Persistent process pool with adaptive chunking and array publication.
 
 ``ProcessPoolExecutor`` spawn + interpreter warm-up costs tens of
 milliseconds per pool; the grid runners used to pay it once per fold
@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from .. import obs
 from .._validation import check_positive_int
-from .shm import SharedArrayStore, shm_available
+from .shm import SharedArrayStore
 
 __all__ = ["WorkerPool", "default_workers"]
 
@@ -125,18 +125,17 @@ class WorkerPool:
         self._cost_ewma: float | None = None
         self._closed = False
 
-    # -- shared-memory plane -------------------------------------------------
+    # -- array transport -----------------------------------------------------
 
     @property
-    def shm(self) -> SharedArrayStore | None:
-        """The pool's shared-array store, or ``None`` when unavailable.
+    def shm(self) -> SharedArrayStore:
+        """The pool's array store (shared memory, or inline when unusable).
 
         Created lazily; segments published through it are unlinked by
-        :meth:`close`, tying the data plane's lifetime to the workers
-        that map it.
+        :meth:`close`, tying their lifetime to the workers that map them.
         """
-        if self._closed or self.n_workers == 1 or not shm_available():
-            return None
+        if self._closed:
+            raise RuntimeError("WorkerPool is closed")
         if self._store is None:
             self._store = SharedArrayStore()
         return self._store

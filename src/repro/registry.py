@@ -1,10 +1,8 @@
 """Unified component registry — the v2 lookup surface.
 
-Historically the library exposed two disjoint string lookups:
-``repro.core.evaluation.get_model`` for regression models and
-``repro.core.representations.get_representation`` for distribution
-representations, each with its own error wording and no way to discover
-what exists.  This module merges them behind one namespace:
+Regression models and distribution representations are looked up by
+name through one namespace, with one error wording and a way to
+discover what exists:
 
 >>> from repro import registry
 >>> registry.available()                            # doctest: +SKIP
@@ -19,10 +17,6 @@ Unknown names raise :class:`~repro.errors.ValidationError` with
 *did-you-mean* suggestions — including a cross-kind hint when the name
 exists under the other kind (``registry.model("pearsonrnd")`` points at
 ``representation``).
-
-The legacy lookups remain importable as deprecation shims that forward
-here and emit :class:`DeprecationWarning`; see the deprecation policy in
-the README.
 """
 
 from __future__ import annotations
@@ -55,7 +49,7 @@ ASSUMPTIONS = ("lognormal", "pearson")
 
 def _tables() -> dict[str, dict[str, Any]]:
     """Kind -> (name -> factory) tables, resolved lazily to avoid import
-    cycles with :mod:`repro.core` (which re-exports the legacy shims)."""
+    cycles with :mod:`repro.core`."""
     from .core.evaluation import MODELS
     from .core.representations import REPRESENTATIONS, _register_extensions
 

@@ -24,17 +24,13 @@ Quickstart::
 
     from repro import FewRunsPredictor, measure_all
     from repro.serving import ModelRegistry, ServerHandle, ServingClient
-    from repro.serving.protocol import encode_campaign
 
     registry = ModelRegistry("results/models")
     registry.save(FewRunsPredictor().fit(measure_all("intel")), name="uc1")
     with ServerHandle(registry) as server:
         with ServingClient("127.0.0.1", server.port) as client:
             probe = measure_all("intel")["npb/cg"].subset(range(10))
-            reply = client.request(
-                {"op": "predict", "model": "uc1",
-                 "campaign": encode_campaign(probe)}
-            )
+            reply = client.predict("uc1", probe)
 
 The subsystem is import-on-demand (``import repro.serving``) and not
 pulled in by ``import repro``; the serving metric contract lives in

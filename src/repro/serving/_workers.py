@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from .protocol import decode_campaign, decode_probe, encode_array
+from .protocol import decode_probe, encode_array
 
 __all__ = ["predict_task"]
 
@@ -46,16 +46,11 @@ def _load_model(root: str, key: str) -> object:
 def predict_task(item: tuple[str, str, dict]) -> str:
     """Pool task: ``(store_root, model_key, probe_payload) -> vector``.
 
-    The payload is an encoded probe (``probe_kind`` discriminator) or —
-    for compatibility with pre-v2 dispatchers — a bare encoded campaign.
+    The payload is an encoded probe (``probe_kind`` discriminator).
     Returns the predicted representation vector base64-encoded (exact
     float64 bytes), keeping the IPC payload JSON-safe and bit-faithful.
     """
     root, key, payload = item
     predictor = _load_model(root, key)
-    if isinstance(payload, dict) and "probe_kind" in payload:
-        probe = decode_probe(payload)
-    else:
-        probe = decode_campaign(payload)
-    vector = predictor.predict_vector(probe)
+    vector = predictor.predict_vector(decode_probe(payload))
     return encode_array(vector)

@@ -19,15 +19,12 @@ shed (backpressure — fixed queue bound or Kingman admission), 503
 shutting down / shard unavailable, 504 deadline expired, 500 internal
 error.
 
-Version 2 adds probe polymorphism: a predict request may carry
-``probe_kind`` (``"samples"`` | ``"sketch"``) plus a ``probe`` object —
-either an encoded campaign (exact float64 arrays, as before) or an
-encoded :class:`~repro.core.sketch.SketchProbe` (percentile-only).
-Version-1 bodies — a bare ``campaign`` field — remain accepted
-indefinitely; the server counts them via the
-``serving.protocol_v1_requests`` observability counter.  Sample probes
-fingerprint identically to v1 campaigns, so a v1 request and its v2
-``probe_kind="samples"`` equivalent share one response-cache entry.
+A predict request (protocol version 2) carries ``probe_kind``
+(``"samples"`` | ``"sketch"``) plus a ``probe`` object — either an
+encoded campaign (exact float64 arrays) or an encoded
+:class:`~repro.core.sketch.SketchProbe` (percentile-only).  Version-1
+bodies — a bare ``campaign`` field — were removed in 3.0.0 and get a
+400 response.
 """
 
 from __future__ import annotations
@@ -58,9 +55,8 @@ __all__ = [
     "error",
 ]
 
-#: Version tag clients may send; the server rejects newer majors.
-#: v2 introduced probe polymorphism (``probe_kind``); v1 bodies stay
-#: accepted.
+#: Version tag clients send; v2 introduced probe polymorphism
+#: (``probe_kind``), and v1 bodies are rejected.
 PROTOCOL_VERSION = 2
 
 
@@ -256,9 +252,8 @@ def probe_fingerprint(
     """Content hash identifying a probe-polymorphic predict request.
 
     Sample probes delegate to :func:`request_fingerprint` on the wrapped
-    campaign — byte for byte the v1 fingerprint, so a v1 request and its
-    v2 ``probe_kind="samples"`` equivalent share one response-cache
-    entry.  Sketch probes hash a distinct canonical header (the
+    campaign, so a ``RunCampaign`` and its ``SampleProbe`` wrapper share
+    one response-cache entry.  Sketch probes hash a distinct canonical header (the
     ``"sketch"`` kind tag plus levels/values/run-count bytes), so a
     sketch summary of a campaign can never collide with the campaign
     itself.

@@ -28,7 +28,6 @@ import json
 import socket
 import threading
 
-from .._deprecation import warn_deprecated
 from ..errors import ValidationError
 from .protocol import error, predict_request
 from .registry import ModelRegistry
@@ -332,9 +331,8 @@ class ServingClient:
     def predict(
         self,
         model: str,
-        probe=None,
+        probe,
         *,
-        campaign=None,
         n_samples: int = 0,
         sample_seed: int = 0,
         deadline_s: float | None = None,
@@ -345,36 +343,8 @@ class ServingClient:
         *probe* may be a :class:`~repro.data.dataset.RunCampaign`, a
         :class:`~repro.core.sketch.SampleProbe`, or a percentile-only
         :class:`~repro.core.sketch.SketchProbe`; the request goes out as
-        a v2 body (``probe_kind`` + encoded probe).  The ``campaign=``
-        keyword is a deprecated alias that sends the v1 wire shape (a
-        bare ``campaign`` field) — kept so pre-v2 integrations keep
-        working; the server counts those on
-        ``serving.protocol_v1_requests``.
+        a v2 body (``probe_kind`` + encoded probe).
         """
-        if campaign is not None:
-            if probe is not None:
-                raise ValidationError(
-                    "pass either probe= or the deprecated campaign= to "
-                    "predict, not both"
-                )
-            warn_deprecated(
-                "ServingClient.predict(campaign=...)",
-                "ServingClient.predict(probe)",
-            )
-            from .protocol import encode_campaign
-
-            body = {"op": "predict", "model": model,
-                    "campaign": encode_campaign(campaign)}
-            if n_samples:
-                body["n_samples"] = int(n_samples)
-                body["sample_seed"] = int(sample_seed)
-            if deadline_s is not None:
-                body["deadline_s"] = float(deadline_s)
-            if request_id is not None:
-                body["id"] = request_id
-            return self.request(body)
-        if probe is None:
-            raise ValidationError("predict needs a probe")
         body = predict_request(
             model,
             probe,

@@ -54,7 +54,6 @@ import numpy as np
 from .. import obs
 from ..errors import ArtifactError, ValidationError
 from .protocol import (
-    decode_campaign,
     decode_probe,
     encode_array,
     error,
@@ -129,8 +128,8 @@ class ServingConfig:
 class _Request:
     """One queued predict request awaiting batch execution.
 
-    ``probe`` is any :data:`~repro.core.sketch.Probe` — a
-    :class:`~repro.core.sketch.SampleProbe` for v1/raw-campaign requests,
+    ``probe`` is the decoded :data:`~repro.core.sketch.Probe` — a
+    :class:`~repro.core.sketch.SampleProbe` for full-campaign requests,
     a :class:`~repro.core.sketch.SketchProbe` for percentile-only ones.
     """
 
@@ -186,7 +185,6 @@ class PredictionService:
             "batches": 0,
             "batched_requests": 0,
             "drained": 0,
-            "protocol_v1_requests": 0,
         }
         self._batch_sizes: dict[int, int] = {}
 
@@ -318,11 +316,9 @@ class PredictionService:
     def _parse(self, payload: dict) -> tuple[_Request, float]:
         """Validate a raw predict payload into a :class:`_Request`.
 
-        Accepts both wire generations: a v2 body carries ``probe`` (with
-        its ``probe_kind`` discriminator); a v1 body carries a bare
-        ``campaign``, which is wrapped into a sample probe and counted on
-        the ``serving.protocol_v1_requests`` counter (same fingerprint,
-        same answer — only the envelope differs).
+        The body must carry a v2 ``probe`` object (with its
+        ``probe_kind`` discriminator); a v1 body — a bare ``campaign``
+        field — is a :class:`~repro.errors.ValidationError`.
         """
         if not isinstance(payload, dict):
             raise ValidationError("request must be a JSON object")
@@ -330,14 +326,12 @@ class PredictionService:
         if not isinstance(model_name, str) or not model_name:
             raise ValidationError("request needs a 'model' tag or content key")
         model_key = self.registry.resolve(model_name)
-        if "probe" in payload:
-            probe = decode_probe(payload.get("probe"))
-        else:
-            from ..core.sketch import SampleProbe
-
-            self._stats["protocol_v1_requests"] += 1
-            obs.counter("serving.protocol_v1_requests")
-            probe = SampleProbe(decode_campaign(payload.get("campaign")))
+        if "probe" not in payload:
+            raise ValidationError(
+                "predict request needs a 'probe' object (protocol v2); "
+                "bare 'campaign' bodies were removed in 3.0.0"
+            )
+        probe = decode_probe(payload["probe"])
         n_samples = payload.get("n_samples", 0)
         sample_seed = payload.get("sample_seed", 0)
         if not isinstance(n_samples, int) or n_samples < 0:

@@ -28,7 +28,7 @@ class TestWalker:
         scopes = {s.relpath: s.scope for s in project.sources}
         assert scopes["src/repro/core/engine.py"] is Scope.LIBRARY
         assert scopes["tests/test_parallel.py"] is Scope.TESTS
-        assert scopes["tools/check_docs.py"] is Scope.TOOLS
+        assert scopes["tools/trace_report.py"] is Scope.TOOLS
 
     def test_fixture_directories_are_excluded_from_repo_walk(self):
         project = build_project(ROOT)

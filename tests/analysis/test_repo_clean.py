@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 
 from repro.analysis import REPORT_SCHEMA, REPORT_VERSION, all_rules, run_analysis
+from repro.analysis.docstrings import ALLOWLIST
 
 ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -21,6 +22,13 @@ def test_repository_is_clean():
     assert not report.unsuppressed, "unsuppressed findings:\n" + "\n".join(
         f.format() for f in report.unsuppressed
     )
+
+
+def test_allowlist_never_grows():
+    # The docstring debt seeded when the gate was introduced; DOC001 and
+    # DOC002 above gate missing and stale entries, this keeps it
+    # shrink-only.
+    assert len(ALLOWLIST) <= 24
 
 
 def test_the_walk_actually_covers_the_repo():

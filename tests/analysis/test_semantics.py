@@ -27,7 +27,7 @@ class TestModulePath:
         assert module_path("src/repro/serving/__init__.py") == "repro.serving"
 
     def test_non_src_trees_keep_their_prefix(self):
-        assert module_path("tools/check_docs.py") == "tools.check_docs"
+        assert module_path("tools/trace_report.py") == "tools.trace_report"
 
 
 class TestSymbolGraph:

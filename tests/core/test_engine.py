@@ -8,6 +8,8 @@ equal freshly computed ones, and worker count must never change results.
 import numpy as np
 import pytest
 
+from repro import registry
+from repro.core.config import EvalConfig
 from repro.core.engine import CrossSystemDesign, FewRunsDesign, logo_fold_vectors
 from repro.core.evaluation import evaluate_cross_system, evaluate_few_runs
 from repro.core.predictors import build_cross_system_rows, build_few_runs_rows
@@ -15,8 +17,8 @@ from repro.core.representations import (
     HistogramRepresentation,
     PearsonRndRepresentation,
     PyMaxEntRepresentation,
-    get_representation,
 )
+from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.knn import KNNRegressor
 from repro.simbench.runner import measure_all
 
@@ -46,7 +48,7 @@ class TestEncodingKeys:
         assert "histogram" in a.encoding_key
 
     def test_quantile_key_tracks_size(self):
-        q = get_representation("quantile")
+        q = registry.representation("quantile")
         assert q.encoding_key == f"quantile:{q.n_quantiles}"
 
 
@@ -134,8 +136,8 @@ class TestWorkerDeterminism:
             n_probe_runs=8,
             n_replicas=2,
         )
-        t1 = evaluate_few_runs(small_intel, n_workers=1, **kw)
-        t2 = evaluate_few_runs(small_intel, n_workers=2, **kw)
+        t1 = evaluate_few_runs(small_intel, config=EvalConfig(n_workers=1, **kw))
+        t2 = evaluate_few_runs(small_intel, config=EvalConfig(n_workers=2, **kw))
         assert np.array_equal(np.asarray(t1["ks"]), np.asarray(t2["ks"]))
 
     def test_evaluate_cross_system_serial_vs_parallel(self, small_amd, small_intel):
@@ -144,8 +146,16 @@ class TestWorkerDeterminism:
             model="knn",
             n_replicas=2,
         )
-        t1 = evaluate_cross_system(small_amd, small_intel, n_workers=1, **kw)
-        t2 = evaluate_cross_system(small_amd, small_intel, n_workers=2, **kw)
+        t1 = evaluate_cross_system(
+            small_amd,
+            small_intel,
+            config=EvalConfig(n_workers=1, **kw),
+        )
+        t2 = evaluate_cross_system(
+            small_amd,
+            small_intel,
+            config=EvalConfig(n_workers=2, **kw),
+        )
         assert np.array_equal(np.asarray(t1["ks"]), np.asarray(t2["ks"]))
 
     def test_stateful_generator_model_stays_serial(self, small_intel):
@@ -157,6 +167,10 @@ class TestWorkerDeterminism:
         rf_like = KNNRegressor(3, metric="cosine")
         rf_like.rng = np.random.default_rng(0)
         assert _wants_serial(rf_like) is True
+        # Hist boosting with row subsampling needs the float64 rows.
+        assert _wants_serial(GradientBoostingRegressor(2, subsample=0.5, tree_method="hist"))
+        assert not _wants_serial(GradientBoostingRegressor(2, tree_method="hist"))
+        assert not _wants_serial(GradientBoostingRegressor(2, subsample=0.5))
 
 
 class TestHistEngine:
@@ -181,7 +195,6 @@ class TestHistEngine:
 
     def test_gb_lockstep_matches_per_fold_path(self, small_intel, monkeypatch):
         from repro.core import engine
-        from repro.ml.boosting import GradientBoostingRegressor
 
         rep = PearsonRndRepresentation()
         design = FewRunsDesign(small_intel, n_probe_runs=8, n_replicas=2)
@@ -268,16 +281,20 @@ class TestDesignReuseMatchesPerCellEvaluation:
     def test_shared_design_equals_fresh_evaluations(self, small_intel):
         design = FewRunsDesign(small_intel, n_probe_runs=8, n_replicas=2, seed=616161)
         for rep_name in ("histogram", "pymaxent", "pearsonrnd"):
-            rep = get_representation(rep_name)
+            rep = registry.representation(rep_name)
             shared = evaluate_few_runs(
-                None, representation=rep, model="knn", design=design
+                None,
+                config=EvalConfig(representation=rep, model="knn"),
+                design=design,
             )
             fresh = evaluate_few_runs(
                 small_intel,
-                representation=rep,
-                model="knn",
-                n_probe_runs=8,
-                n_replicas=2,
+                config=EvalConfig(
+                    representation=rep,
+                    model="knn",
+                    n_probe_runs=8,
+                    n_replicas=2,
+                ),
             )
             assert np.array_equal(
                 np.asarray(shared["ks"]), np.asarray(fresh["ks"])

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import registry
+from repro.core.config import EvalConfig
 from repro.core.evaluation import (
     MODELS,
     evaluate_cross_system,
     evaluate_few_runs,
-    get_model,
     score_fold_vectors,
     score_vector_sets,
     summarize_ks,
@@ -27,21 +28,21 @@ class TestModelRegistry:
         assert set(MODELS) == {"knn", "rf", "xgboost"}
 
     def test_knn_is_paper_configuration(self):
-        m = get_model("knn")
+        m = registry.model("knn")
         assert isinstance(m, KNNRegressor)
         assert m.n_neighbors == 15
         assert m.metric == "cosine"
 
     def test_types(self):
-        assert isinstance(get_model("rf"), RandomForestRegressor)
-        assert isinstance(get_model("XGBoost"), GradientBoostingRegressor)
+        assert isinstance(registry.model("rf"), RandomForestRegressor)
+        assert isinstance(registry.model("XGBoost"), GradientBoostingRegressor)
 
     def test_unknown(self):
         with pytest.raises(ValidationError):
-            get_model("svm")
+            registry.model("svm")
 
     def test_fresh_instances(self):
-        assert get_model("knn") is not get_model("knn")
+        assert registry.model("knn") is not registry.model("knn")
 
 
 class TestEvaluateFewRuns:
@@ -49,10 +50,12 @@ class TestEvaluateFewRuns:
     def table(self, intel_campaigns):
         return evaluate_few_runs(
             intel_campaigns,
-            representation=PearsonRndRepresentation(),
-            model="knn",
-            n_probe_runs=10,
-            n_replicas=3,
+            config=EvalConfig(
+                representation=PearsonRndRepresentation(),
+                model="knn",
+                n_probe_runs=10,
+                n_replicas=3,
+            ),
         )
 
     def test_one_row_per_benchmark(self, table, intel_campaigns):
@@ -72,10 +75,12 @@ class TestEvaluateFewRuns:
     def test_deterministic(self, intel_campaigns, table):
         again = evaluate_few_runs(
             intel_campaigns,
-            representation=PearsonRndRepresentation(),
-            model="knn",
-            n_probe_runs=10,
-            n_replicas=3,
+            config=EvalConfig(
+                representation=PearsonRndRepresentation(),
+                model="knn",
+                n_probe_runs=10,
+                n_replicas=3,
+            ),
         )
         assert np.allclose(table["ks"], again["ks"])
 
@@ -90,9 +95,11 @@ class TestEvaluateCrossSystem:
         table = evaluate_cross_system(
             amd_campaigns,
             intel_campaigns,
-            representation=PearsonRndRepresentation(),
-            model="knn",
-            n_replicas=2,
+            config=EvalConfig(
+                representation=PearsonRndRepresentation(),
+                model="knn",
+                n_replicas=2,
+            ),
         )
         assert len(table) == len(amd_campaigns)
         assert np.all((table["ks"] >= 0.0) & (table["ks"] <= 1.0))
@@ -103,8 +110,7 @@ class TestEvaluateCrossSystem:
             evaluate_cross_system(
                 amd_campaigns,
                 {},
-                representation=PearsonRndRepresentation(),
-                model="knn",
+                config=EvalConfig(representation=PearsonRndRepresentation(), model="knn"),
             )
 
 

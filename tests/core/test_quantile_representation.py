@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.quantile_representation import QuantileRepresentation
-from repro.core.representations import get_representation
+from repro.registry import representation as representation_by_name
 from repro.errors import ValidationError
 
 
 class TestRegistry:
     def test_available_via_registry(self):
-        rep = get_representation("quantile")
+        rep = representation_by_name("quantile")
         assert isinstance(rep, QuantileRepresentation)
 
     def test_custom_size(self):
-        rep = get_representation("quantile", n_quantiles=12)
+        rep = representation_by_name("quantile", n_quantiles=12)
         assert rep.n_dims == 12
 
 

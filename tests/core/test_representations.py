@@ -10,9 +10,9 @@ from repro.core.representations import (
     HistogramRepresentation,
     PearsonRndRepresentation,
     PyMaxEntRepresentation,
-    get_representation,
 )
 from repro.errors import ValidationError
+from repro.registry import representation as representation_by_name
 from repro.stats.histogram import HistogramGrid
 
 
@@ -26,15 +26,15 @@ def bimodal(rng):
 class TestRegistry:
     def test_names(self):
         # The paper's three are always present; the quantile extension is
-        # registered lazily on first get_representation() call.
+        # registered lazily on the first registry lookup.
         assert {"histogram", "pymaxent", "pearsonrnd"} <= set(REPRESENTATIONS)
 
     def test_get_by_name_case_insensitive(self):
-        assert isinstance(get_representation("PearsonRnd"), PearsonRndRepresentation)
+        assert isinstance(representation_by_name("PearsonRnd"), PearsonRndRepresentation)
 
     def test_unknown(self):
         with pytest.raises(ValidationError):
-            get_representation("wavelets")
+            representation_by_name("wavelets")
 
 
 class TestHistogramRepresentation:

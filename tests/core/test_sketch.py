@@ -241,20 +241,6 @@ class TestPredictorProbeAPI:
         assert vec.shape == full.shape
         assert np.all(np.isfinite(vec))
 
-    def test_cross_system_source_campaign_shim_bit_identical(
-        self, intel_campaigns, amd_campaigns
-    ):
-        pred = CrossSystemPredictor(n_replicas=2).fit(
-            intel_campaigns, amd_campaigns
-        )
-        camp = next(iter(intel_campaigns.values()))
-        direct = pred.predict_vector(camp)
-        with pytest.warns(DeprecationWarning):
-            legacy = pred.predict_vector(source_campaign=camp)
-        assert np.array_equal(direct, legacy)
-        with pytest.raises(ValidationError):
-            pred.predict_vector(camp, source_campaign=camp)
-
     def test_cross_system_accepts_sketch_probe(
         self, intel_campaigns, amd_campaigns
     ):

@@ -114,20 +114,23 @@ class TestUseCase1Runners:
     def test_sample_sweep_matches_per_size_evaluation(self, tiny_intel, tiny_config):
         # The batched-scoring sweep must be bit-identical to the naive
         # one-evaluate_few_runs-per-probe-size loop it replaced.
+        from repro import registry
+        from repro.core.config import EvalConfig
         from repro.core.evaluation import evaluate_few_runs
-        from repro.core.representations import get_representation
 
         sweep = sample_count_sweep(tiny_intel, tiny_config)
-        rep = get_representation("pearsonrnd")
+        rep = registry.representation("pearsonrnd")
         for n_samples in tiny_config.sample_counts:
             ref = evaluate_few_runs(
                 tiny_intel,
-                representation=rep,
-                model="knn",
-                n_probe_runs=n_samples,
-                n_replicas=tiny_config.n_replicas_uc1,
-                seed=tiny_config.eval_seed,
-                n_workers=tiny_config.n_workers,
+                config=EvalConfig(
+                    representation=rep,
+                    model="knn",
+                    n_probe_runs=n_samples,
+                    n_replicas=tiny_config.n_replicas_uc1,
+                    seed=tiny_config.eval_seed,
+                    n_workers=tiny_config.n_workers,
+                ),
             )
             mask = np.asarray(sweep["n_samples"]) == n_samples
             assert list(np.asarray(sweep["benchmark"])[mask]) == list(

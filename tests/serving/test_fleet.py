@@ -30,7 +30,7 @@ from repro.serving.fleet import (
     predict_fleet_p99,
     samples_to_campaign,
 )
-from repro.serving.protocol import decode_array, encode_campaign
+from repro.serving.protocol import decode_array, encode_campaign, predict_request
 
 from .conftest import ROSTER
 
@@ -61,7 +61,7 @@ def fleet(fleet_store):
 
 
 def _predict(client, tag, campaign, **extra):
-    payload = {"op": "predict", "model": tag, "campaign": encode_campaign(campaign)}
+    payload = predict_request(tag, campaign)
     payload.update(extra)
     return client.request(payload)
 
@@ -183,7 +183,7 @@ class TestDeterministicShedding:
                 registry, ServingConfig(cache_enabled=False), admission=gate
             )
             await service.start()
-            payload = {"model": "uc1", "campaign": encode_campaign(probe)}
+            payload = predict_request("uc1", probe)
             first = await service.submit(dict(payload))
             second = await service.submit(dict(payload))
             await service.close()
@@ -236,6 +236,18 @@ class TestRebalanceUnderLoad:
         assert len(statuses) == 4 * 25
         assert statuses.count(200) == len(statuses), sorted(set(statuses))
         assert version == 4  # two initial joins + scripted join + leave
+
+
+class TestRemovedV1Protocol:
+    def test_v1_body_rejected_with_400(self, fleet, intel_small):
+        probe = intel_small["npb/cg"].subset(range(6))
+        v1_body = {"op": "predict", "model": "uc1", "campaign": encode_campaign(probe)}
+        with fleet.client() as client:
+            reply = client.request(v1_body)
+            assert _predict(client, "uc1", probe)["status"] == 200
+        assert reply["status"] == 400, reply
+        assert "'probe'" in reply["error"]
+        assert "Traceback" not in reply["error"]
 
 
 class TestFeedbackLoop:

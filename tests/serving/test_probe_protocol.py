@@ -1,9 +1,9 @@
-"""Protocol v2 probe polymorphism: wire shapes, compat, bit-identity.
+"""Protocol v2 probe polymorphism: wire shapes, v1 rejection, bit-identity.
 
-The contract under test: v1 bodies (bare ``campaign``) keep working and
-are counted; v2 sample-probe requests share cache entries with their v1
-equivalents; and a sketch probe answered through the TCP server matches
-the direct in-process ``predict_vector`` call bit for bit.
+The contract under test: v1 bodies (bare ``campaign``) get a typed 400;
+a raw campaign and its sample-probe wrapper share one cache entry; and a
+sketch probe answered through the TCP server matches the direct
+in-process ``predict_vector`` call bit for bit.
 """
 
 from __future__ import annotations
@@ -125,55 +125,40 @@ class TestServerCompat:
         assert reply["status"] == 200
         assert np.array_equal(np.asarray(reply["vector"], dtype=np.float64), direct)
 
-    def test_v1_body_accepted_and_counted(self, registry, probe_campaign):
+    def test_v1_body_rejected_with_400(self, registry, probe_campaign):
+        v1_body = {
+            "op": "predict",
+            "model": "uc1",
+            "campaign": encode_campaign(probe_campaign),
+        }
         with ServerHandle(registry) as server:
             with ServingClient("127.0.0.1", server.port) as client:
-                v1_body = {
-                    "op": "predict",
-                    "model": "uc1",
-                    "campaign": encode_campaign(probe_campaign),
-                }
-                r1 = client.request(v1_body)
-                assert r1["status"] == 200
-                stats = client.request({"op": "stats"})["stats"]
-                assert stats["protocol_v1_requests"] == 1
-                # v2 sample-probe requests do not bump the v1 counter.
-                r2 = client.request(predict_request("uc1", probe_campaign))
-                assert r2["status"] == 200
-                stats = client.request({"op": "stats"})["stats"]
-                assert stats["protocol_v1_requests"] == 1
-        assert r2["vector"] == r1["vector"]
+                reply = client.request(v1_body)
+                # The connection survives the rejection.
+                ok = client.predict("uc1", probe_campaign)
+        assert reply["status"] == 400
+        assert "'probe'" in reply["error"]
+        assert "Traceback" not in reply["error"]
+        assert ok["status"] == 200
 
-    def test_v1_and_v2_share_cache_entry(self, registry, probe_campaign):
-        with ServerHandle(registry) as server:
-            with ServingClient("127.0.0.1", server.port) as client:
-                r1 = client.request(
-                    {
-                        "op": "predict",
-                        "model": "uc1",
-                        "campaign": encode_campaign(probe_campaign),
-                    }
-                )
-                assert r1["status"] == 200 and not r1["cached"]
-                r2 = client.request(predict_request("uc1", probe_campaign))
-                assert r2["status"] == 200 and r2["cached"]
-
-    def test_client_campaign_keyword_is_deprecated_v1(
+    def test_campaign_and_sample_probe_share_cache_entry(
         self, registry, probe_campaign
     ):
         with ServerHandle(registry) as server:
             with ServingClient("127.0.0.1", server.port) as client:
-                with pytest.warns(DeprecationWarning):
-                    reply = client.predict("uc1", campaign=probe_campaign)
-                assert reply["status"] == 200
-                stats = client.request({"op": "stats"})["stats"]
-                assert stats["protocol_v1_requests"] == 1
-                with pytest.raises(ValidationError):
-                    client.predict(
-                        "uc1", probe_campaign, campaign=probe_campaign
-                    )
-                with pytest.raises(ValidationError):
+                r1 = client.predict("uc1", probe_campaign)
+                assert r1["status"] == 200 and not r1["cached"]
+                r2 = client.predict("uc1", SampleProbe(probe_campaign))
+                assert r2["status"] == 200 and r2["cached"]
+        assert r2["vector"] == r1["vector"]
+
+    def test_client_predict_requires_probe(self, registry, probe_campaign):
+        with ServerHandle(registry) as server:
+            with ServingClient("127.0.0.1", server.port) as client:
+                with pytest.raises(TypeError):
                     client.predict("uc1")
+                with pytest.raises(TypeError):
+                    client.predict("uc1", campaign=probe_campaign)
 
     def test_sampled_draws_from_sketch_probe(self, registry, sketch_probe):
         with ServerHandle(registry) as server:
@@ -195,10 +180,8 @@ class TestPoolPlane:
         root = str(registry.root)
         out = decode_array(predict_task((root, key, encode_probe(sketch_probe))))
         assert np.array_equal(out, few_runs_predictor.predict_vector(sketch_probe))
-        # Pre-v2 dispatchers ship bare encoded campaigns.
-        legacy = decode_array(
+        out = decode_array(predict_task((root, key, encode_probe(probe_campaign))))
+        assert np.array_equal(out, few_runs_predictor.predict_vector(probe_campaign))
+        # A bare encoded campaign is no probe payload.
+        with pytest.raises(ValidationError):
             predict_task((root, key, encode_campaign(probe_campaign)))
-        )
-        assert np.array_equal(
-            legacy, few_runs_predictor.predict_vector(probe_campaign)
-        )

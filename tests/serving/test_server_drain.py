@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.serving import ModelRegistry, PredictionService, ServerHandle, ServingConfig
-from repro.serving.protocol import encode_campaign
+from repro.serving.protocol import predict_request
 from repro.serving.service import _SHUTDOWN
 
 
@@ -47,13 +47,7 @@ class TestDrainAnswersInflight:
         release = threading.Event()
         try:
             server.service._executor.submit(release.wait)  # wedge the worker
-            payload = {
-                "op": "predict",
-                "model": "uc1",
-                "campaign": encode_campaign(probe),
-                "deadline_s": 30.0,
-                "id": "drain-1",
-            }
+            payload = predict_request("uc1", probe, deadline_s=30.0, request_id="drain-1")
             f.write(json.dumps(payload).encode() + b"\n")
             f.flush()
             time.sleep(0.3)  # let the server accept and queue the request
@@ -83,9 +77,7 @@ class TestDrainAnswersInflight:
         async def scenario():
             service = PredictionService(registry, ServingConfig(cache_enabled=False))
             await service.start()
-            request, _ = service._parse(
-                {"model": "uc1", "campaign": encode_campaign(probe)}
-            )
+            request, _ = service._parse(predict_request("uc1", probe))
             # Simulate the race: the shutdown marker lands first, then a
             # request that was already past admission gets enqueued.
             await service._queue.put(_SHUTDOWN)

@@ -26,7 +26,7 @@ from repro.serving import (
     ServingClient,
     ServingConfig,
 )
-from repro.serving.protocol import decode_array, encode_campaign
+from repro.serving.protocol import decode_array, predict_request
 
 from .conftest import ROSTER
 
@@ -40,7 +40,7 @@ def registry(tmp_path, few_runs_predictor):
 
 
 def _predict_payload(campaign, **extra) -> dict:
-    payload = {"op": "predict", "model": "uc1", "campaign": encode_campaign(campaign)}
+    payload = predict_request("uc1", campaign)
     payload.update(extra)
     return payload
 
@@ -170,7 +170,7 @@ class TestAdmissionAndDeadlines:
             service._executor.submit(release.wait)  # wedge the worker thread
             payloads = []
             for i in range(n_requests):
-                body = {"model": "uc1", "campaign": encode_campaign(probes[i % len(probes)])}
+                body = predict_request("uc1", probes[i % len(probes)])
                 if deadline_s is not None:
                     body["deadline_s"] = deadline_s
                 payloads.append(body)
@@ -220,16 +220,15 @@ class TestProtocolEdges:
         probe = intel_small["npb/cg"].subset(range(6))
         with ServerHandle(registry) as server:
             with ServingClient("127.0.0.1", server.port) as client:
-                reply = client.request(
-                    {"op": "predict", "model": "ghost", "campaign": encode_campaign(probe)}
-                )
+                reply = client.request(predict_request("ghost", probe))
         assert reply["status"] == 404
 
     def test_malformed_campaign_is_400(self, registry):
         with ServerHandle(registry) as server:
             with ServingClient("127.0.0.1", server.port) as client:
                 reply = client.request(
-                    {"op": "predict", "model": "uc1", "campaign": {"benchmark": 3}}
+                    {"op": "predict", "model": "uc1",
+                     "probe": {"probe_kind": "samples", "campaign": {"benchmark": 3}}}
                 )
         assert reply["status"] == 400
 

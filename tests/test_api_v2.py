@@ -1,9 +1,9 @@
-"""The v2 API surface: configs, unified registry, deprecation shims.
+"""The stable API surface: configs and the unified registry.
 
-Covers the redesign contract: legacy keyword call paths keep working
-bit-identically while emitting :class:`DeprecationWarning`; the config
-path is warning-free; ``repro.registry`` subsumes the two v1 lookups
-with did-you-mean diagnostics.
+Covers the contract: evaluations take ``config=EvalConfig(...)`` and
+nothing else (the 2.x bare-keyword shims were removed in 3.0.0); the
+config path is warning-free; ``repro.registry`` is the one lookup, with
+did-you-mean diagnostics.
 """
 
 from __future__ import annotations
@@ -86,56 +86,24 @@ class TestRegistry:
         assert isinstance(registry.model("XGBoost"), type(registry.model("xgboost")))
 
 
-class TestDeprecatedLookups:
-    def test_get_model_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="repro.registry.model"):
-            m = repro.get_model("knn")
-        assert isinstance(m, KNNRegressor)
-
-    def test_get_representation_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="repro.registry.representation"):
-            rep = repro.get_representation("quantile", n_quantiles=8)
-        assert rep.n_dims == 8
-
-    def test_unknown_names_still_raise_validation_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValidationError):
-                repro.get_model("not-a-model")
-
-
 class TestEvalConfigPath:
     CFG = dict(representation="pearsonrnd", model="knn", n_probe_runs=6, n_replicas=2, seed=321)
 
-    def test_legacy_keywords_warn_but_match_config(self, intel_small):
-        with pytest.warns(DeprecationWarning, match="EvalConfig"):
-            legacy = evaluate_few_runs(intel_small, **self.CFG)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            v2 = evaluate_few_runs(intel_small, config=EvalConfig(**self.CFG))
-        assert np.array_equal(np.asarray(legacy["ks"]), np.asarray(v2["ks"]))
-        assert list(legacy["benchmark"]) == list(v2["benchmark"])
-
-    def test_cross_system_legacy_matches_config(self, intel_small, amd_small):
-        kwargs = dict(representation="pearsonrnd", model="knn", n_replicas=2, seed=321)
-        with pytest.warns(DeprecationWarning, match="EvalConfig"):
-            legacy = evaluate_cross_system(intel_small, amd_small, **kwargs)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            v2 = evaluate_cross_system(
-                intel_small, amd_small, config=EvalConfig(**kwargs)
-            )
-        assert np.array_equal(np.asarray(legacy["ks"]), np.asarray(v2["ks"]))
-
     def test_mixing_config_and_legacy_keywords_is_an_error(self, intel_small):
-        with pytest.raises(ValidationError, match="not both"):
+        with pytest.raises(TypeError):
             evaluate_few_runs(
                 intel_small, config=EvalConfig(**self.CFG), model="knn"
             )
 
     def test_legacy_path_requires_representation_and_model(self, intel_small):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValidationError, match="required"):
-                evaluate_few_runs(intel_small)
+        # Without a config there is nothing to evaluate: bare keywords
+        # are gone, and a missing config is a typed error.
+        with pytest.raises(TypeError):
+            evaluate_few_runs(intel_small, representation="pearsonrnd", model="knn")
+        with pytest.raises(ValidationError, match="config=EvalConfig"):
+            evaluate_few_runs(intel_small)
+        with pytest.raises(ValidationError, match="config=EvalConfig"):
+            evaluate_cross_system(intel_small, intel_small)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -188,5 +156,5 @@ class TestStableSurface:
             assert name in repro.__all__
             assert hasattr(repro, name)
 
-    def test_version_is_v2(self):
-        assert repro.__version__.startswith("2.")
+    def test_version_is_v3(self):
+        assert repro.__version__.startswith("3.")

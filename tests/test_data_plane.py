@@ -3,17 +3,24 @@
 The contract under test: a persistent :class:`WorkerPool` reuses its
 workers across dispatches, recovers from worker death, and never leaks a
 shared-memory segment — and neither the pool, the worker count, nor the
-dispatch plane (pickle vs shm) may change a single bit of any result.
+transport (shm vs inline) may change a single bit of any result.
 """
 
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.parallel import shm
 from repro.parallel.shm import ArrayRef, SharedArrayStore, attach, shm_available
 from repro.parallel.worker_pool import WorkerPool
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="no usable shared memory in this environment"
@@ -84,10 +91,70 @@ class TestSharedArrayStore:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=ref.segment, create=False)
 
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert shm_available() is False
-        assert WorkerPool(2).shm is None
+    def test_inline_transport_when_probe_fails(self, monkeypatch):
+        monkeypatch.setattr(shm, "shm_available", lambda: False)
+        arr = np.arange(12.0).reshape(3, 4)
+        with WorkerPool(2) as pool:
+            store = pool.shm
+            assert store.transport == "inline"
+            ref = store.publish(arr)
+            assert ref is arr
+            assert store.n_segments == 0
+            view = attach(ref)
+            assert np.array_equal(view, arr)
+            assert not view.flags.writeable
+
+    @needs_shm
+    def test_failed_publish_switches_store_to_inline(self, monkeypatch):
+        from multiprocessing import shared_memory
+
+        def refuse(*args, **kwargs):
+            raise OSError("no space left on /dev/shm")
+
+        arr = np.ones((4, 2))
+        with SharedArrayStore() as store:
+            first = store.publish(np.zeros(3))
+            assert isinstance(first, ArrayRef)
+            monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+            assert store.publish(arr) is arr
+            assert store.transport == "inline"
+            assert store.n_segments == 1
+
+    @needs_shm
+    def test_pooled_map_leaves_no_tracker_errors_or_segments(self):
+        # Pool workers share the parent's resource tracker; a worker
+        # that unregistered its attachment used to make the parent's
+        # unlink raise KeyError inside the tracker at exit.
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.parallel.shm import attach
+            from repro.parallel.worker_pool import WorkerPool
+
+            def total(ref):
+                return float(attach(ref).sum())
+
+            with WorkerPool(2) as pool:
+                refs = [pool.shm.publish(np.full(64, float(i))) for i in range(4)]
+                assert pool.map(total, refs, chunk_size=1) == [64.0 * i for i in range(4)]
+            print(" ".join(ref.segment for ref in refs))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "KeyError" not in proc.stderr
+        assert "resource_tracker" not in proc.stderr
+        from multiprocessing import shared_memory
+
+        names = proc.stdout.split()
+        assert len(names) == 4
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name, create=False)
 
     def test_closed_store_refuses_publish(self):
         store = SharedArrayStore()  # repro: noqa[CONC002] — closed-store behavior is the subject
@@ -110,7 +177,6 @@ class TestWorkerPool:
         with WorkerPool(1) as pool:
             assert pool.map(square, range(5)) == [0, 1, 4, 9, 16]
             assert pool._executor is None
-            assert pool.shm is None
 
     def test_worker_crash_recovers_serially(self):
         with WorkerPool(2) as pool:
@@ -143,8 +209,16 @@ class TestWorkerPool:
         pool.close()
 
 
+#: One model per fold payload: float64 ``X`` (knn, exact rf) or binned codes (hist rf).
+PAYLOADS = {
+    "knn": dict(model="knn"),
+    "rf-exact": dict(model="rf"),
+    "rf-hist": dict(model="rf", tree_method="hist"),
+}
+
+
 class TestPlaneBitIdentity:
-    """KS results identical: serial vs pooled vs shm, workers 1/2/4."""
+    """KS results identical: serial vs pooled, shm vs inline, workers 1/2/4."""
 
     @pytest.fixture(scope="class")
     def campaigns(self):
@@ -157,43 +231,46 @@ class TestPlaneBitIdentity:
             root_seed=13,
         )
 
-    def _ks(self, campaigns, n_workers, monkeypatch, *, shm_on):
+    def _ks(self, campaigns, n_workers, monkeypatch, *, shm_on, payload="knn"):
+        from repro.core.config import EvalConfig
         from repro.core.evaluation import evaluate_few_runs
-        from repro.core.representations import PearsonRndRepresentation
 
-        monkeypatch.setenv("REPRO_SHM", "1" if shm_on else "0")
+        monkeypatch.setattr(shm, "shm_available", shm_available if shm_on else lambda: False)
+        cfg = EvalConfig(
+            representation="pearsonrnd",
+            n_probe_runs=8,
+            n_replicas=2,
+            n_workers=n_workers,
+            **PAYLOADS[payload],
+        )
         with WorkerPool(n_workers) as pool:
-            tab = evaluate_few_runs(
-                campaigns,
-                representation=PearsonRndRepresentation(),
-                model="knn",
-                n_probe_runs=8,
-                n_replicas=2,
-                n_workers=n_workers,
-                pool=pool,
-            )
+            tab = evaluate_few_runs(campaigns, config=cfg, pool=pool)
+            assert pool.shm.transport == ("shm" if shm_on and shm_available() else "inline")
         return np.asarray(tab["ks"])
 
-    def test_ks_identical_across_planes_and_workers(self, campaigns, monkeypatch):
-        baseline = self._ks(campaigns, 1, monkeypatch, shm_on=False)
+    @pytest.mark.parametrize("payload", list(PAYLOADS))
+    def test_ks_identical_across_planes_and_workers(self, campaigns, monkeypatch, payload):
+        baseline = self._ks(campaigns, 1, monkeypatch, shm_on=False, payload=payload)
         for n_workers in (1, 2, 4):
             for shm_on in (False, True):
-                ks = self._ks(campaigns, n_workers, monkeypatch, shm_on=shm_on)
-                assert np.array_equal(ks, baseline), (n_workers, shm_on)
+                ks = self._ks(campaigns, n_workers, monkeypatch, shm_on=shm_on,
+                              payload=payload)
+                assert np.array_equal(ks, baseline), (payload, n_workers, shm_on)
 
     @needs_shm
     def test_shm_plane_actually_engaged(self, campaigns, monkeypatch):
         from repro import obs
 
-        monkeypatch.setenv("REPRO_SHM", "1")
         obs.enable()
         try:
             self._ks(campaigns, 2, monkeypatch, shm_on=True)
-            counters = {
-                r["name"]: r["value"]
-                for r in obs.trace_records()
-                if r.get("type") == "counter"
-            }
+            records = obs.trace_records()
         finally:
             obs.disable()
+        counters = {r["name"]: r["value"] for r in records if r.get("type") == "counter"}
+        planes = {
+            r["attrs"].get("plane") for r in records
+            if r.get("type") == "span" and r.get("name") == "fold_batch"
+        }
         assert counters.get("pool.shm_bytes_saved", 0) > 0
+        assert planes == {"shm"}

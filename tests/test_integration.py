@@ -10,10 +10,11 @@ import pytest
 
 from repro import (
     CrossSystemPredictor,
+    EvalConfig,
     FewRunsPredictor,
     evaluate_cross_system,
     evaluate_few_runs,
-    get_representation,
+    registry,
     summarize_ks,
 )
 from repro.stats import ks_statistic
@@ -27,7 +28,7 @@ class TestUseCase1EndToEnd:
         runs cannot give).  At the tiny 12-benchmark test scale the model
         cannot dominate, but it must be competitive and win on several
         benchmarks."""
-        rep = get_representation("pearsonrnd")
+        rep = registry.representation("pearsonrnd")
         wins = 0
         ks_model_all, ks_raw_all = [], []
         benches = sorted(intel_campaigns)
@@ -52,30 +53,22 @@ class TestUseCase1EndToEnd:
 
     def test_all_three_representations_work(self, intel_campaigns):
         for rep_name in ("pearsonrnd", "histogram", "pymaxent"):
-            table = evaluate_few_runs(
-                intel_campaigns,
-                representation=get_representation(rep_name),
+            cfg = EvalConfig(
+                representation=registry.representation(rep_name),
                 model="knn",
                 n_probe_runs=10,
                 n_replicas=3,
             )
+            table = evaluate_few_runs(intel_campaigns, config=cfg)
             s = summarize_ks(table)
             assert 0.0 < s.mean < 0.6, rep_name
 
 
 class TestUseCase2EndToEnd:
     def test_both_directions(self, amd_campaigns, intel_campaigns):
-        rep = get_representation("pearsonrnd")
-        a2i = summarize_ks(
-            evaluate_cross_system(
-                amd_campaigns, intel_campaigns, representation=rep, model="knn", n_replicas=2
-            )
-        )
-        i2a = summarize_ks(
-            evaluate_cross_system(
-                intel_campaigns, amd_campaigns, representation=rep, model="knn", n_replicas=2
-            )
-        )
+        cfg = EvalConfig(representation="pearsonrnd", model="knn", n_replicas=2)
+        a2i = summarize_ks(evaluate_cross_system(amd_campaigns, intel_campaigns, config=cfg))
+        i2a = summarize_ks(evaluate_cross_system(intel_campaigns, amd_campaigns, config=cfg))
         assert a2i.mean < 0.6
         assert i2a.mean < 0.6
 
@@ -98,11 +91,7 @@ class TestUseCase2EndToEnd:
 
 class TestDeterminismEndToEnd:
     def test_full_pipeline_reproducible(self, intel_campaigns, rng):
-        rep = get_representation("pearsonrnd")
-        t1 = evaluate_few_runs(
-            intel_campaigns, representation=rep, model="knn", n_probe_runs=5, n_replicas=2
-        )
-        t2 = evaluate_few_runs(
-            intel_campaigns, representation=rep, model="knn", n_probe_runs=5, n_replicas=2
-        )
+        cfg = EvalConfig(representation="pearsonrnd", model="knn", n_probe_runs=5, n_replicas=2)
+        t1 = evaluate_few_runs(intel_campaigns, config=cfg)
+        t2 = evaluate_few_runs(intel_campaigns, config=cfg)
         assert np.array_equal(t1["ks"], t2["ks"])

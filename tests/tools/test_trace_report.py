@@ -120,6 +120,19 @@ class TestCli:
         baseline.write_text(json.dumps({k: v * 10 for k, v in BASELINE.items()}))
         assert trace_report.main([str(trace), "--baseline", str(baseline)]) == 0
 
+    def test_without_baseline_flags_nothing(self, trace_report, tmp_path, capsys):
+        trace = self._write_trace(tmp_path / "t.jsonl", synthetic_records())
+        assert trace_report.main([str(trace)]) == 0
+        assert "regressed" not in capsys.readouterr().err
+
+    def test_missing_baseline_path_exits_2(self, trace_report, tmp_path, capsys):
+        trace = self._write_trace(tmp_path / "t.jsonl", synthetic_records())
+        missing = tmp_path / "nope.json"
+        assert trace_report.main([str(trace), "--baseline", str(missing)]) == 2
+        assert "baseline not found" in capsys.readouterr().err
+        assert trace_report.main([str(trace), "--update-baseline"]) == 2
+        assert "needs --baseline" in capsys.readouterr().err
+
     def test_update_baseline_round_trip(self, trace_report, tmp_path):
         trace = self._write_trace(tmp_path / "t.jsonl", synthetic_records())
         baseline = tmp_path / "new_base.json"

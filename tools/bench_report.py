@@ -285,9 +285,9 @@ def dispatch_bytes(summary: dict) -> dict:
 
     ``bytes_after`` estimates what actually crossed the pipe (last
     chunk-payload gauge × chunk count); ``bytes_before`` adds back the
-    per-fold matrix copies the shared-memory plane kept out of the task
-    pickles (``pool.shm_bytes_saved``), i.e. what the pickling plane
-    would have shipped.  All zeros/None in serial runs.
+    fold-array bytes the shared-memory refs kept out of the task
+    pickles (``pool.shm_bytes_saved``), i.e. what inline refs would
+    have shipped.  All zeros/None in serial runs.
     """
     pool = summary.get("pool", {})
     chunk0 = pool.get("chunk0_pickle_bytes") or 0
@@ -296,7 +296,7 @@ def dispatch_bytes(summary: dict) -> dict:
     after = int(chunk0 * chunks)
     before = after + int(saved)
     return {
-        "plane": "shm" if saved else ("pickle" if chunks else "serial"),
+        "plane": "shm" if saved else ("inline" if chunks else "serial"),
         "shm_bytes_mapped": pool.get("shm_bytes_mapped"),
         "matrix_bytes_avoided": int(saved),
         "bytes_after_estimate": after,

@@ -64,12 +64,9 @@ def run_phase(
     its probe; a single mismatch fails the harness.
     """
     from repro.serving import ServerHandle, ServingClient, ServingConfig
-    from repro.serving.protocol import encode_campaign
+    from repro.serving.protocol import predict_request
 
-    payloads = {
-        bench: {"op": "predict", "model": "bench", "campaign": encode_campaign(p)}
-        for bench, p in probes.items()
-    }
+    payloads = {bench: predict_request("bench", p) for bench, p in probes.items()}
     benches = sorted(payloads)
     schedule = [benches[i % len(benches)] for i in range(n_requests)]
     shards = [schedule[i::n_clients] for i in range(n_clients)]
@@ -157,19 +154,13 @@ def run_fleet_phase(
     """
     from repro.serving import ServingConfig
     from repro.serving.fleet import AdmissionConfig, FleetHandle
-    from repro.serving.protocol import encode_campaign
+    from repro.serving.protocol import predict_request
 
     # n_samples triggers the full distribution reconstruction on the
     # shard (~10x the predict_vector cost, ~1 KB extra on the wire), so
     # the phase measures shard compute scaling, not router framing.
     payloads = {
-        bench: {
-            "op": "predict",
-            "model": "bench",
-            "campaign": encode_campaign(p),
-            "n_samples": 100,
-            "sample_seed": 11,
-        }
+        bench: predict_request("bench", p, n_samples=100, sample_seed=11)
         for bench, p in probes.items()
     }
     benches = sorted(payloads)

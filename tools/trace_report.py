@@ -7,21 +7,24 @@ or ``repro.obs.write_trace``, validates it against the documented schema
 
 * the per-stage wall-time breakdown (``stage`` spans, StageTimer-aligned);
 * the per-cell table (``cell`` spans — one grid cell per
-  (representation, model) pair), compared against a stored baseline with
-  cells whose wall time regressed beyond the threshold flagged;
+  (representation, model) pair), compared against a baseline file when
+  one is given, with cells whose wall time regressed beyond the
+  threshold flagged;
 * the derived run summary (cache hit rate, encoding-dedup rates, worker
   utilization).
 
 Usage::
 
     python tools/trace_report.py results/trace_fig4.jsonl
-    python tools/trace_report.py trace.jsonl --baseline results/trace_baseline.json
-    python tools/trace_report.py trace.jsonl --update-baseline
-    python tools/trace_report.py trace.jsonl --threshold 0.5
+    python tools/trace_report.py trace.jsonl --baseline base.json
+    python tools/trace_report.py trace.jsonl --baseline base.json --update-baseline
+    python tools/trace_report.py trace.jsonl --baseline base.json --threshold 0.5
 
 The baseline file maps cell keys (``"<representation>+<model>"``) to
 wall seconds.  Exit code 1 means at least one cell regressed by more
-than ``--threshold`` (fractional; default 0.25 = 25%).
+than ``--threshold`` (fractional; default 0.25 = 25%); exit code 2 means
+an invalid trace, a ``--baseline`` path that does not exist, or
+``--update-baseline`` without ``--baseline``.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ from repro.obs import (  # noqa: E402  (path bootstrap above)
     summarize_records,
     validate_trace,
 )
-
-DEFAULT_BASELINE = ROOT / "results" / "trace_baseline.json"
 
 
 def _fmt_rate(value) -> str:
@@ -128,13 +129,12 @@ def main(argv=None) -> int:
     parser.add_argument("trace", help="JSONL trace file to summarize")
     parser.add_argument(
         "--baseline",
-        default=str(DEFAULT_BASELINE),
-        help=f"cell-wall baseline JSON (default: {DEFAULT_BASELINE})",
+        help="cell-wall baseline JSON to compare against (default: none)",
     )
     parser.add_argument(
         "--update-baseline",
         action="store_true",
-        help="write this trace's cell walls as the new baseline and exit 0",
+        help="write this trace's cell walls to --baseline and exit 0",
     )
     parser.add_argument(
         "--threshold",
@@ -151,8 +151,11 @@ def main(argv=None) -> int:
             print(f"[trace-report] invalid trace: {problem}", file=sys.stderr)
         return 2
 
-    baseline_path = Path(args.baseline)
+    baseline_path = None if args.baseline is None else Path(args.baseline)
     if args.update_baseline:
+        if baseline_path is None:
+            print("[trace-report] --update-baseline needs --baseline PATH", file=sys.stderr)
+            return 2
         cells = cell_walls(records)
         baseline_path.parent.mkdir(parents=True, exist_ok=True)
         baseline_path.write_text(json.dumps(cells, indent=2, sort_keys=True) + "\n")
@@ -160,7 +163,10 @@ def main(argv=None) -> int:
         return 0
 
     baseline = None
-    if baseline_path.exists():
+    if baseline_path is not None:
+        if not baseline_path.exists():
+            print(f"[trace-report] baseline not found: {baseline_path}", file=sys.stderr)
+            return 2
         baseline = json.loads(baseline_path.read_text())
 
     report, regressed = render_report(
