@@ -10,7 +10,7 @@ layer on top of the core pipelines without touching their math.
 * :mod:`~repro.serving.registry` — :class:`ModelRegistry`, fit-once
   persistence with an in-process LRU of hydrated predictors;
 * :mod:`~repro.serving.service` — :class:`PredictionService`, the
-  micro-batching data plane (request coalescing, response cache,
+  micro-batching data plane (work-conserving batches, response cache,
   admission control, deadlines) with bit-identical outputs;
 * :mod:`~repro.serving.server` — stdlib-asyncio JSONL-over-TCP server,
   background :class:`ServerHandle`, and the blocking

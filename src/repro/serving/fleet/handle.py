@@ -68,6 +68,7 @@ class FleetHandle:
             n_replicas=n_replicas,
             hot_window=hot_window,
             hot_threshold=hot_threshold,
+            default_deadline_s=self._serving_config.default_deadline_s,
         )
 
         self._ready = threading.Event()

@@ -26,7 +26,8 @@ over persistent multiplexed links:
 Shedding stays *at the shards* — each runs its own Kingman admission
 gate against its measured service times — and 429s relay through
 transparently; the router only answers 503 itself when a shard link is
-down or the fleet is empty.
+down or the fleet is empty, and 504 when a shard has not answered a
+request shortly after its deadline (a torn or lost reply).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from ...errors import ArtifactError, ValidationError
 from ..protocol import encode_array, error, ok
 from ..registry import ModelRegistry
 from ..server import _MAX_LINE_BYTES, _handle_connection
+from ..service import ServingConfig
 from .messages import OP_DRAIN, OP_FLEET, OP_HEALTH
 from .partition import PartitionMap
 
@@ -50,6 +52,10 @@ __all__ = ["ShardLink", "FleetRouter"]
 #: Bound on the router's in-memory latency sample buffer.
 _SAMPLE_BUFFER = 4096
 
+#: How long past a request's deadline the router waits for the shard's
+#: own answer (normally the shard's 504) before answering 504 itself.
+_DEADLINE_GRACE_S = 0.1
+
 
 class ShardLink:
     """One persistent multiplexed connection from the router to a shard.
@@ -57,14 +63,23 @@ class ShardLink:
     Requests are tagged with internal ids and futures; one reader task
     demultiplexes response lines back to their futures, so any number of
     forwarded requests share the single socket without head-of-line
-    coupling in the router.
+    coupling in the router.  Every request is bounded by a timer at its
+    deadline (plus a short grace), so a reply the shard never sends
+    resolves to a 504 instead of hanging until the link closes.
     """
 
-    def __init__(self, shard_id: str, host: str, port: int) -> None:
-        """Record the endpoint; ``await connect()`` before use."""
+    def __init__(
+        self, shard_id: str, host: str, port: int, default_deadline_s: float
+    ) -> None:
+        """Record the endpoint; ``await connect()`` before use.
+
+        *default_deadline_s* bounds requests that carry no valid
+        ``deadline_s`` of their own — the shards' own default.
+        """
         self.shard_id = shard_id
         self.host = host
         self.port = port
+        self.default_deadline_s = float(default_deadline_s)
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._reader_task: asyncio.Task | None = None
@@ -131,13 +146,30 @@ class ShardLink:
                     error(503, f"shard {self.shard_id!r} connection lost")
                 )
 
+    def _expire(self, link_id: str, timeout_s: float) -> None:
+        """Deadline timer: answer 504 for a reply that never arrived."""
+        future = self._pending.pop(link_id, None)
+        if future is not None and not future.done():
+            future.set_result(
+                error(
+                    504,
+                    f"shard {self.shard_id!r} did not answer within {timeout_s:.3g}s",
+                )
+            )
+
     async def request(self, payload: dict) -> dict:
-        """Forward one request; resolves with the shard's response."""
+        """Forward one request; resolves with the shard's response.
+
+        Resolves with a 504 when no reply arrives by the request's
+        deadline (its ``deadline_s``, else the link default) plus a
+        short grace, so the shard's own 504 normally wins.
+        """
         if not self.alive:
             return error(503, f"shard {self.shard_id!r} is not connected")
         self._next_id += 1
         link_id = f"r{self._next_id}"
-        future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
         self._pending[link_id] = future
         wired = dict(payload)
         wired["id"] = link_id
@@ -147,10 +179,19 @@ class ShardLink:
         except (ConnectionError, OSError):
             self._fail_pending()
             return error(503, f"shard {self.shard_id!r} connection lost")
-        # The reader loop already stripped our link id; the caller's own
-        # request id (if any) is re-attached by the router's connection
-        # layer when the response is written back.
-        return await future
+        deadline_s = payload.get("deadline_s")
+        if not isinstance(deadline_s, (int, float)) or not deadline_s > 0:
+            deadline_s = self.default_deadline_s  # the shard answers 400 if invalid
+        timeout_s = deadline_s + _DEADLINE_GRACE_S
+        timer = loop.call_later(timeout_s, self._expire, link_id, timeout_s)
+        try:
+            # The reader loop already stripped our link id; the caller's own
+            # request id (if any) is re-attached by the router's connection
+            # layer when the response is written back.
+            return await future
+        finally:
+            timer.cancel()
+            self._pending.pop(link_id, None)
 
     async def drain(self) -> None:
         """Wait until every forwarded request has been answered."""
@@ -194,6 +235,7 @@ class FleetRouter:
         n_replicas: int = 2,
         hot_window: int = 128,
         hot_threshold: int = 16,
+        default_deadline_s: float = ServingConfig.default_deadline_s,
     ) -> None:
         """Create an empty fleet over the shared store at *store_root*.
 
@@ -201,8 +243,11 @@ class FleetRouter:
         window remembers; a key seen at least *hot_threshold* times in
         the window round-robins across its *n_replicas* rendezvous
         replicas instead of pinning its primary shard.
+        *default_deadline_s* is the shards' default request deadline,
+        which every shard link enforces too (see :class:`ShardLink`).
         """
         self.registry = ModelRegistry(store_root)
+        self._default_deadline_s = default_deadline_s
         self._map = PartitionMap((), version=0, n_replicas=n_replicas)
         self._links: dict[str, ShardLink] = {}
         self._hot_window = int(hot_window)
@@ -255,7 +300,7 @@ class FleetRouter:
         if shard_id in self._links:
             raise ValidationError(f"shard {shard_id!r} already joined")
         with obs.span("fleet.rebalance", kind="join", shard=shard_id):
-            link = ShardLink(shard_id, host, port)
+            link = ShardLink(shard_id, host, port, self._default_deadline_s)
             await link.connect()
             self._links[shard_id] = link
             self._map = self._map.with_shard(shard_id)

@@ -3,13 +3,15 @@
 :class:`PredictionService` turns many concurrent ``predict`` requests
 into few batched evaluations without changing a single output bit:
 
-* **Micro-batching** — the batch loop takes the first queued request,
-  then coalesces whatever else arrives within ``batch_window_s`` (up to
-  ``max_batch``); a batch is grouped by model and executed off the
-  event loop.  Each request inside a batch still runs the *exact*
-  per-request ``predictor.predict_vector`` call a direct caller would
-  run — batching amortizes model hydration and scheduling, never the
-  math — so served predictions are bit-identical to library calls.
+* **Micro-batching** — the batch loop is work-conserving: it takes the
+  first queued request plus whatever else is already queued (up to
+  ``max_batch``) and executes at once.  Requests that arrive while a
+  batch executes form the next batch, so batches grow with load and no
+  request waits on a timer.  A batch is grouped by model and executed
+  off the event loop.  Each request inside a batch still runs the
+  *exact* per-request ``predictor.predict_vector`` call a direct caller
+  would run — batching amortizes model hydration and scheduling, never
+  the math — so served predictions are bit-identical to library calls.
 * **Response cache** — an LRU keyed by the request fingerprint
   (resolved model content key + exact probe bytes + sampling params,
   see :func:`~repro.serving.protocol.request_fingerprint`).  Because
@@ -28,7 +30,8 @@ into few batched evaluations without changing a single output bit:
   ``docs/SERVING.md``).
 * **Deadlines** — every request carries a deadline (client-supplied or
   ``default_deadline_s``); a request that cannot be answered in time
-  resolves to a 504-style response and its slot is reclaimed.
+  resolves to a 504-style response, its slot is reclaimed, and it is
+  never computed afterwards.
 
 Two execution planes are supported: ``"thread"`` (a dedicated worker
 thread in this process — the default, zero extra processes) and
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+import warnings
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -74,10 +78,12 @@ class ServingConfig:
     Attributes
     ----------
     max_batch:
-        Largest number of requests coalesced into one batch.
+        Largest number of requests executed as one batch.
     batch_window_s:
-        How long the batch loop waits for followers after the first
-        request of a batch arrives.
+        Deprecated since 3.1.0 and ignored; removed in 4.0.0.  Batching
+        is work-conserving, so there is no coalescing wait to tune.  An
+        explicit value is still range-checked and emits a
+        :class:`DeprecationWarning`.
     queue_limit:
         Admission bound: maximum requests in flight before new arrivals
         are rejected with status 429.  Always enforced — with an
@@ -98,7 +104,7 @@ class ServingConfig:
     """
 
     max_batch: int = 32
-    batch_window_s: float = 0.002
+    batch_window_s: float | None = None
     queue_limit: int = 128
     cache_size: int = 256
     cache_enabled: bool = True
@@ -110,8 +116,16 @@ class ServingConfig:
         """Validate ranges; raises :class:`~repro.errors.ValidationError`."""
         if self.max_batch < 1:
             raise ValidationError("max_batch must be >= 1")
-        if self.batch_window_s < 0.0:
-            raise ValidationError("batch_window_s must be >= 0")
+        if self.batch_window_s is not None:
+            if self.batch_window_s < 0.0:
+                raise ValidationError("batch_window_s must be >= 0")
+            warnings.warn(
+                "ServingConfig.batch_window_s is deprecated since 3.1.0 and has "
+                "no effect (batching is work-conserving); drop the argument "
+                "before its removal in 4.0.0",
+                DeprecationWarning,
+                stacklevel=3,
+            )
         if self.queue_limit < 1:
             raise ValidationError("queue_limit must be >= 1")
         if self.cache_size < 1:
@@ -351,29 +365,26 @@ class PredictionService:
         )
 
     async def _batch_loop(self) -> None:
-        """Coalesce queued requests into batches and execute them."""
-        loop = asyncio.get_running_loop()
+        """Execute queued requests in work-conserving batches.
+
+        A batch is the first queued request plus whatever else is
+        already queued, up to ``max_batch``, and it executes at once.
+        Requests that arrive while it executes form the next batch.  A
+        request whose future is already done (``submit`` answered 504)
+        is dropped here instead of computed.
+        """
         while True:
-            first = await self._queue.get()
-            if first is _SHUTDOWN:
-                return
-            batch = [first]
-            horizon = loop.time() + self.config.batch_window_s
-            stop = False
-            while len(batch) < self.config.max_batch:
-                remaining = horizon - loop.time()
-                if remaining <= 0:
+            item = await self._queue.get()
+            batch = []
+            while item is not _SHUTDOWN:
+                if not item.future.done():
+                    batch.append(item)
+                if len(batch) == self.config.max_batch or self._queue.empty():
                     break
-                try:
-                    item = await asyncio.wait_for(self._queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
-                if item is _SHUTDOWN:
-                    stop = True
-                    break
-                batch.append(item)
-            await self._execute(batch)
-            if stop:
+                item = self._queue.get_nowait()
+            if batch:
+                await self._execute(batch)
+            if item is _SHUTDOWN:
                 return
 
     async def _execute(self, batch: list) -> None:
@@ -397,28 +408,38 @@ class PredictionService:
                 plane=self.config.plane,
             ):
                 try:
-                    responses = await loop.run_in_executor(
+                    answered = await loop.run_in_executor(
                         self._executor, self._compute_group, model_key, requests
                     )
                 except Exception as exc:  # noqa: BLE001 — batch loop must survive
                     self._stats["errors"] += 1
                     obs.counter("serving.errors")
-                    kind = type(exc).__name__
-                    responses = [error(500, f"{kind}: {exc}")] * len(requests)
-            if self.admission is not None:
+                    message = f"{type(exc).__name__}: {exc}"
+                    # One dict per request: the connection layer writes
+                    # each request's own id into its response.
+                    answered = [(request, error(500, message)) for request in requests]
+            if self.admission is not None and answered:
                 # Per-request service effort: the group's executor wall
-                # time amortized across its requests (batching shares
-                # hydration/scheduling, so the amortized cost is the
-                # honest per-request figure for the queueing model).
-                per_request_s = (loop.time() - t0) / len(requests)
-                for _ in requests:
+                # time amortized across the requests it answered (batching
+                # shares hydration/scheduling, so the amortized cost is
+                # the honest per-request figure for the queueing model).
+                per_request_s = (loop.time() - t0) / len(answered)
+                for _ in answered:
                     self.admission.observe(per_request_s)
-            for request, response in zip(requests, responses):
+            for request, response in answered:
                 if not request.future.done():
                     request.future.set_result(response)
 
-    def _compute_group(self, model_key: str, requests: list) -> list[dict]:
+    def _compute_group(
+        self, model_key: str, requests: list
+    ) -> list[tuple[_Request, dict]]:
         """Evaluate one model's requests (runs in the executor thread).
+
+        Returns ``(request, response)`` pairs for the requests computed.
+        A request whose future is already done — it expired while its
+        batch-mates ran — is skipped right before its call.  That read
+        races the loop thread harmlessly: at worst a request expiring
+        at that instant is computed and its answer dropped.
 
         Per-request ``predict_vector`` calls, never a stacked matrix —
         identical math to the direct library path, so served outputs are
@@ -426,18 +447,23 @@ class PredictionService:
         """
         predictor = self.registry.load(model_key)
         if self.config.plane == "pool":
+            live = [r for r in requests if not r.future.done()]
             encoded = self._pool.map(
                 _pool_predict_task,
                 [
                     (str(self.registry.root), model_key, _encode_for_pool(r.probe))
-                    for r in requests
+                    for r in live
                 ],
             )
-            vectors = [_decode_pool_vector(text) for text in encoded]
+            computed = [(r, _decode_pool_vector(text)) for r, text in zip(live, encoded)]
         else:
-            vectors = [predictor.predict_vector(r.probe) for r in requests]
-        responses = []
-        for request, vector in zip(requests, vectors):
+            computed = [
+                (r, predictor.predict_vector(r.probe))
+                for r in requests
+                if not r.future.done()
+            ]
+        answered = []
+        for request, vector in computed:
             body = ok(
                 model_key=model_key,
                 representation=type(predictor.representation).__name__,
@@ -450,8 +476,8 @@ class PredictionService:
                     np.asarray(vector, dtype=np.float64)
                 ).sample(request.n_samples, rng=rng)
                 body["samples"] = encode_array(draws)
-            responses.append(body)
-        return responses
+            answered.append((request, body))
+        return answered
 
 
 def _encode_for_pool(probe) -> dict:

@@ -10,12 +10,15 @@ Contracts under test:
 * **deterministic shedding** — a forced ρ/Cs² window produces a 429
   through the full service path, with the Kingman threshold named;
 * **zero dropped responses** — a scripted join + leave cycle under
-  concurrent load answers every request.
+  concurrent load answers every request;
+* **router deadlines** — a shard that never replies cannot hang a
+  client past its deadline.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 
 import numpy as np
@@ -26,6 +29,7 @@ from repro.serving import ModelRegistry, PredictionService, ServingConfig
 from repro.serving.fleet import (
     AdmissionConfig,
     FleetHandle,
+    FleetRouter,
     KingmanAdmission,
     predict_fleet_p99,
     samples_to_campaign,
@@ -236,6 +240,61 @@ class TestRebalanceUnderLoad:
         assert len(statuses) == 4 * 25
         assert statuses.count(200) == len(statuses), sorted(set(statuses))
         assert version == 4  # two initial joins + scripted join + leave
+
+
+class TestRouterDeadline:
+    @pytest.mark.parametrize(
+        "payload_deadline_s, default_deadline_s",
+        [(0.2, 30.0), (None, 0.2)],
+        ids=["payload-deadline", "default-deadline"],
+    )
+    def test_silent_shard_answers_504_by_the_deadline(
+        self, fleet_store, intel_small, payload_deadline_s, default_deadline_s
+    ):
+        """A shard that reads requests and never replies: 504, no leak."""
+        root, _ = fleet_store
+        probe = intel_small["npb/cg"].subset(range(6))
+        deadline_s = payload_deadline_s or default_deadline_s
+        forwarded: list = []
+
+        async def silent_shard(reader, writer):
+            try:
+                while line := await reader.readline():
+                    forwarded.append(json.loads(line))
+            finally:
+                writer.close()
+
+        async def scenario():
+            shard = await asyncio.start_server(silent_shard, "127.0.0.1", 0)
+            router = FleetRouter(root, default_deadline_s=default_deadline_s)
+            await router.start()
+            await router.add_shard("mute", "127.0.0.1", shard.sockets[0].getsockname()[1])
+            link = router._links["mute"]
+            reader, writer = await asyncio.open_connection("127.0.0.1", router.port)
+            loop = asyncio.get_running_loop()
+            t0 = loop.time()
+            body = predict_request(
+                "uc1", probe, deadline_s=payload_deadline_s, request_id="late-1"
+            )
+            writer.write(json.dumps(body).encode() + b"\n")
+            await writer.drain()
+            reply = json.loads(await asyncio.wait_for(reader.readline(), 30))
+            elapsed = loop.time() - t0
+            pending, errors = link.pending, router._counters["errors"]
+            writer.close()
+            await writer.wait_closed()
+            await router.stop(drain_shards=False)
+            shard.close()
+            await shard.wait_closed()
+            return reply, elapsed, pending, errors
+
+        reply, elapsed, pending, errors = asyncio.run(scenario())
+        assert reply["status"] == 504, reply
+        assert reply["id"] == "late-1"
+        assert deadline_s <= elapsed < deadline_s + 1.0
+        assert pending == 0
+        assert errors == 1
+        assert len(forwarded) == 1 and forwarded[0]["op"] == "predict"
 
 
 class TestRemovedV1Protocol:

@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.predictors import FewRunsPredictor
 from repro.errors import ValidationError
 from repro.serving import (
     ModelRegistry,
@@ -45,6 +46,28 @@ def _predict_payload(campaign, **extra) -> dict:
     return payload
 
 
+def _gate_predict_vector(monkeypatch):
+    """Record every ``predict_vector`` probe; the first call blocks.
+
+    Returns ``(calls, entered, release)``: the first call sets *entered*
+    and waits for *release*, which holds the batch loop busy for as long
+    as a test needs to queue requests behind it.
+    """
+    calls: list = []
+    entered, release = threading.Event(), threading.Event()
+    original = FewRunsPredictor.predict_vector
+
+    def gated(self, probe):
+        calls.append(probe)
+        if len(calls) == 1:
+            entered.set()
+            release.wait(timeout=30)
+        return original(self, probe)
+
+    monkeypatch.setattr(FewRunsPredictor, "predict_vector", gated)
+    return calls, entered, release
+
+
 class TestServingConfig:
     def test_rejects_bad_values(self):
         for bad in (
@@ -58,6 +81,34 @@ class TestServingConfig:
         ):
             with pytest.raises(ValidationError):
                 ServingConfig(**bad)
+
+    def test_batch_window_s_is_deprecated_and_ignored(
+        self, registry, few_runs_predictor, intel_small
+    ):
+        """A set window warns once and no longer holds a lone request.
+
+        A 10 s window used to keep a lone request waiting for followers
+        past the 5 s default deadline (504); it is now answered at once.
+        """
+        assert ServingConfig().batch_window_s is None
+        with pytest.warns(DeprecationWarning, match="batch_window_s") as record:
+            config = ServingConfig(cache_enabled=False, batch_window_s=10.0)
+        assert len(record) == 1
+        probe = intel_small["npb/cg"].subset(range(6))
+
+        async def scenario():
+            service = PredictionService(registry, config)
+            await service.start()
+            try:
+                return await service.submit(_predict_payload(probe))
+            finally:
+                await service.close()
+
+        reply = asyncio.run(scenario())
+        assert reply["status"] == 200, reply
+        assert np.array_equal(
+            np.asarray(reply["vector"]), few_runs_predictor.predict_vector(probe)
+        )
 
 
 class TestServedBitIdentity:
@@ -99,26 +150,49 @@ class TestServedBitIdentity:
         for (bench, _), vector in sorted(results.items()):
             assert np.array_equal(vector, expected[bench]), bench
 
-    def test_batches_actually_coalesce(self, registry, intel_small):
-        """Concurrent load must produce at least one multi-request batch."""
-        probes = [intel_small[b].subset(range(6)) for b in ROSTER]
-        config = ServingConfig(cache_enabled=False, batch_window_s=0.05)
-        with ServerHandle(registry, config) as server:
+    def test_requests_queued_behind_a_busy_batch_form_fifo_batches(
+        self, registry, few_runs_predictor, intel_small, monkeypatch
+    ):
+        """Work-conserving batching, deterministically.
 
-            def fire(probe):
-                with ServingClient("127.0.0.1", server.port) as client:
-                    assert client.request(_predict_payload(probe))["status"] == 200
+        The first request runs alone; the ``max_batch + 2`` requests
+        queued while it computes run as one full batch and one of the
+        rest, in arrival order, each answer bit-identical.
+        """
+        max_batch = 4
+        probes = [
+            intel_small[ROSTER[i % len(ROSTER)]].subset(range(3 + i))
+            for i in range(max_batch + 3)
+        ]
+        expected = [few_runs_predictor.predict_vector(p) for p in probes]
+        calls, entered, release = _gate_predict_vector(monkeypatch)
 
-            threads = [
-                threading.Thread(target=fire, args=(p,)) for p in probes * 4
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            stats = server.service.stats()
-        assert stats["batched_requests"] == len(probes) * 4
-        assert any(int(k) > 1 for k in stats["batch_size_histogram"])
+        async def scenario():
+            config = ServingConfig(max_batch=max_batch, cache_enabled=False)
+            service = PredictionService(registry, config)
+            await service.start()
+            try:
+                submits = [asyncio.ensure_future(service.submit(_predict_payload(probes[0])))]
+                assert await asyncio.to_thread(entered.wait, 30)
+                submits += [
+                    asyncio.ensure_future(service.submit(_predict_payload(p)))
+                    for p in probes[1:]
+                ]
+                await asyncio.sleep(0)  # every submit enqueues, none executes
+                assert service.stats()["pending"] == len(probes)
+                release.set()
+                replies = await asyncio.gather(*submits)
+            finally:
+                release.set()
+                await service.close()
+            return replies, service.stats()
+
+        replies, stats = asyncio.run(scenario())
+        assert stats["batch_size_histogram"] == {"1": 1, str(max_batch): 1, "2": 1}
+        assert [c.campaign.n_runs for c in calls] == [p.n_runs for p in probes]
+        for reply, want in zip(replies, expected):
+            assert reply["status"] == 200, reply
+            assert np.array_equal(np.asarray(reply["vector"], dtype=np.float64), want)
 
     def test_cache_hits_never_change_outputs(self, registry, intel_small):
         probe = intel_small["npb/cg"].subset(range(6))
@@ -204,6 +278,95 @@ class TestAdmissionAndDeadlines:
         replies, stats = self._flood(registry, config, 1, probes, deadline_s=0.05)
         assert replies[0]["status"] == 504
         assert stats["expired"] == 1
+
+    def test_expired_request_is_never_computed(self, registry, intel_small, monkeypatch):
+        """A request answered 504 while queued is dropped, not computed."""
+        calls, entered, release = _gate_predict_vector(monkeypatch)
+        probes = [intel_small[b].subset(range(6)) for b in ("npb/cg", "npb/is")]
+
+        async def scenario():
+            service = PredictionService(registry, ServingConfig(cache_enabled=False))
+            await service.start()
+            try:
+                first = asyncio.ensure_future(service.submit(_predict_payload(probes[0])))
+                assert await asyncio.to_thread(entered.wait, 30)
+                late = await service.submit(_predict_payload(probes[1], deadline_s=0.05))
+                release.set()
+                replies = [await first, late]
+            finally:
+                release.set()
+                await service.close()
+            return replies, service.stats()
+
+        (first, late), stats = asyncio.run(scenario())
+        assert (first["status"], late["status"]) == (200, 504)
+        assert len(calls) == 1
+        assert stats["batched_requests"] == 1
+        assert stats["expired"] == 1
+
+    def test_request_expiring_mid_batch_is_skipped(
+        self, registry, intel_small, monkeypatch
+    ):
+        """A batch-mate that expires while the batch computes is skipped."""
+        calls, entered, release = _gate_predict_vector(monkeypatch)
+        probes = [intel_small[b].subset(range(6)) for b in ("npb/cg", "npb/is")]
+
+        async def scenario():
+            service = PredictionService(registry, ServingConfig(cache_enabled=False))
+            await service.start()
+            try:
+                # Both enqueue in one loop turn, so they share one batch.
+                slow = asyncio.ensure_future(service.submit(_predict_payload(probes[0])))
+                late = asyncio.ensure_future(
+                    service.submit(_predict_payload(probes[1], deadline_s=0.05))
+                )
+                assert await asyncio.to_thread(entered.wait, 30)
+                late_reply = await late
+                release.set()
+                replies = [await slow, late_reply]
+            finally:
+                release.set()
+                await service.close()
+            return replies, service.stats()
+
+        (slow, late), stats = asyncio.run(scenario())
+        assert (slow["status"], late["status"]) == (200, 504)
+        assert stats["batch_size_histogram"] == {"2": 1}
+        assert len(calls) == 1
+
+    def test_failed_batch_answers_one_dict_per_request(
+        self, registry, intel_small, monkeypatch
+    ):
+        """Each request of a failed group gets its own 500 body.
+
+        The connection layer writes each request's id into its response;
+        a body shared across the group would carry the last writer's id.
+        """
+
+        def boom(self, probe):
+            raise RuntimeError("kernel exploded")
+
+        monkeypatch.setattr(FewRunsPredictor, "predict_vector", boom)
+        probes = [intel_small[b].subset(range(6)) for b in ("npb/cg", "npb/is")]
+
+        async def scenario():
+            service = PredictionService(registry, ServingConfig(cache_enabled=False))
+            await service.start()
+            try:
+                replies = await asyncio.gather(
+                    *(service.submit(_predict_payload(p)) for p in probes)
+                )
+            finally:
+                await service.close()
+            return replies, service.stats()
+
+        (a, b), stats = asyncio.run(scenario())
+        assert stats["batch_size_histogram"] == {"2": 1}
+        assert a["status"] == b["status"] == 500
+        assert "kernel exploded" in a["error"]
+        assert a is not b
+        a["id"], b["id"] = "req-a", "req-b"
+        assert (a["id"], b["id"]) == ("req-a", "req-b")
 
     def test_rejection_does_not_poison_later_requests(self, registry, intel_small):
         """After a flood, a healthy request still succeeds on a new service."""

@@ -74,7 +74,7 @@ def run_phase(
     mismatches: list[str] = []
     failures: list[str] = []
 
-    config = ServingConfig(cache_enabled=cache_enabled, batch_window_s=0.002)
+    config = ServingConfig(cache_enabled=cache_enabled)
     with ServerHandle(registry, config) as server:
 
         def client_loop(slot: int) -> None:
@@ -171,9 +171,7 @@ def run_fleet_phase(
     mismatches: list[str] = []
     failures: list[str] = []
 
-    # no batch window: closed-loop clients are latency-bound, and an
-    # idle coalescing wait would dominate the lightly-loaded shards
-    serving_config = ServingConfig(cache_enabled=False, batch_window_s=0.0)
+    serving_config = ServingConfig(cache_enabled=False)
     lenient = AdmissionConfig(min_samples=1_000_000)
     with FleetHandle(
         model_root,
