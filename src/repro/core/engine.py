@@ -26,10 +26,13 @@ Every cached artifact is a pure function of its key, which is what makes
 the sharing bit-identical to the naive per-cell recomputation: the same
 arrays flow into the same operations in the same order.
 
-Every fold, on every path, runs :func:`_fit_predict_fold` on a tiny
-task — ``(model, array refs, held-out benchmark, probe row, scaler
-params)`` — and re-derives its ``X[mask]``/``Y[mask]`` views from the
-full design arrays.  Serial runs (``n_workers == 1``) call it
+Every fold outside the in-process fallback for models that must stay
+serial runs in :func:`_fit_predict_fold`, on a tiny task — ``(model,
+array refs, folds)``, each fold a ``(held-out benchmark, probe row,
+scaler params)`` tuple — and re-derives its ``X[mask]``/``Y[mask]``
+views from the full design arrays.  A task holds one fold, or for
+lockstep-capable hist boosting one contiguous group of folds per worker,
+grown as a single batch.  Serial runs (``n_workers == 1``) call it
 in-process on the arrays themselves; pooled runs fan the same tasks out
 across a :class:`~repro.parallel.worker_pool.WorkerPool` (the grid
 runners pass a persistent one; ad-hoc calls get a transient pool),
@@ -40,8 +43,9 @@ only per-fold inputs, and the KS-scoring RNG is keyed per benchmark with
 :func:`~repro.parallel.seeding.seed_for` — so worker count, pool reuse
 and the transport never change results.
 
-When :mod:`repro.obs` is enabled the engine emits per-fold ``fold``
-spans (serial path) or one ``fold_batch`` span (parallel dispatch) plus
+When :mod:`repro.obs` is enabled the engine emits one ``fold`` span per
+in-process task or fallback fold, or one ``fold_batch`` span per
+parallel dispatch, plus
 the ``engine.*`` dedup/hit counters documented in
 ``docs/OBSERVABILITY.md``; all of it is bit-neutral bookkeeping.
 """
@@ -69,27 +73,30 @@ __all__ = ["FewRunsDesign", "CrossSystemDesign", "logo_fold_vectors"]
 _PROBE_SEED = 909090
 
 
-def _fit_predict_fold(task) -> np.ndarray:
-    """Fit one LOGO fold and predict the held-out probe vector.
+def _fit_predict_fold(task) -> list[np.ndarray]:
+    """Fit a group of LOGO folds and predict each held-out probe vector.
 
     Top-level so it pickles for pool dispatch; the serial path calls it
-    in-process.  ``task`` is ``(model, refs, bench, probe, center,
-    scale)``: ``refs`` maps ``"Y"``, ``"groups"`` and the payload —
-    ``"X"``, or the binned ``"codes"``/``"n_bins"``/``"lo"``/``"hi"`` —
-    to refs that :func:`~repro.parallel.shm.attach` resolves.  The fold's
-    training rows are re-derived from the full arrays and put through
-    the parent-fitted robust scaler, so every transport feeds the model
-    bit-identical matrices.  Binned codes are invariant under that
-    scaling; only the bin bounds move.  The clone makes the fit
+    in-process.  ``task`` is ``(model, refs, folds)``: ``refs`` maps
+    ``"Y"``, ``"groups"`` and the payload — ``"X"``, or the binned
+    ``"codes"``/``"n_bins"``/``"lo"``/``"hi"`` — to refs that
+    :func:`~repro.parallel.shm.attach` resolves, and each fold is
+    ``(bench, probe, center, scale)``.  Returns one vector per fold, in
+    ``folds`` order.
+
+    A model that satisfies :func:`~repro.ml.boosting.can_lockstep` grows
+    the whole group as one :func:`~repro.ml.boosting.fit_predict_folds`
+    batch on the binned codes.  Every other model fits its folds one by
+    one: the training rows are re-derived from the full arrays and put
+    through the parent-fitted robust scaler, so every transport feeds
+    the model bit-identical matrices.  Binned codes are invariant under
+    that scaling; only the bin bounds move.  The clone makes each fit
     independent of any sibling fold.
     """
-    model, refs, bench, probe, center, scale = task
+    model, refs, folds = task
     arrays = {name: attach(ref) for name, ref in refs.items()}
-    mask = arrays["groups"] != bench
-    scaler = RobustScaler()
-    scaler.center_ = center
-    scaler.scale_ = scale
-    fitted = model.clone()
+    Y = arrays["Y"]
+    binned = None
     if "codes" in arrays:
         binned = BinnedMatrix(
             codes=arrays["codes"],
@@ -97,10 +104,32 @@ def _fit_predict_fold(task) -> np.ndarray:
             lo=arrays["lo"],
             hi=arrays["hi"],
         )
-        fitted.fit_binned(binned.scaled(center, scale).take_rows(mask), arrays["Y"][mask])
-    else:
-        fitted.fit(scaler.transform(arrays["X"][mask]), arrays["Y"][mask])
-    return fitted.predict(scaler.transform(probe[None, :]))[0]
+    # (training mask, scaler params, scaled probe row) per fold — the
+    # fold spec fit_predict_folds takes.
+    specs = [
+        (arrays["groups"] != bench, center, scale,
+         _scaler(center, scale).transform(probe[None, :])[0])
+        for bench, probe, center, scale in folds
+    ]
+    if can_lockstep(model, [spec[0] for spec in specs]):
+        return fit_predict_folds(model, binned, Y, specs)
+    vectors = []
+    for mask, center, scale, xp in specs:
+        fitted = model.clone()
+        if binned is None:
+            fitted.fit(_scaler(center, scale).transform(arrays["X"][mask]), Y[mask])
+        else:
+            fitted.fit_binned(binned.scaled(center, scale).take_rows(mask), Y[mask])
+        vectors.append(fitted.predict(xp[None, :])[0])
+    return vectors
+
+
+def _scaler(center: np.ndarray, scale: np.ndarray) -> RobustScaler:
+    """A :class:`~repro.ml.scaling.RobustScaler` with the given fitted parameters."""
+    scaler = RobustScaler()
+    scaler.center_ = center
+    scaler.scale_ = scale
+    return scaler
 
 
 def _hist_model(model: Regressor) -> bool:
@@ -161,10 +190,18 @@ def logo_fold_vectors(
     optionally supplies the pre-binned matrix of ``X`` (the engine's
     designs cache one per encoding); when absent it is built here.  The
     payload is then the binned codes and bounds instead of ``X``, so the
-    one-time binning pass is shared by every fold, and — for a boosting
-    model that satisfies :func:`~repro.ml.boosting.can_lockstep` — all
-    folds' round-``r`` trees grow as one batch in-process regardless of
-    ``n_workers`` (the batch kernel replaces fold-level process fan-out).
+    one-time binning pass is shared by every fold.
+
+    Folds travel as tasks of :func:`_fit_predict_fold`, in-process at
+    ``n_workers == 1`` and through the pool otherwise.  Most models get
+    one fold per task, which lets adaptive chunking balance the pool.  A
+    boosting model that satisfies :func:`~repro.ml.boosting.can_lockstep`
+    gets ``min(n_workers, n_folds)`` contiguous fold groups instead, and
+    each group grows its folds' round-``r`` trees as one batch
+    (:func:`~repro.ml.boosting.fit_predict_folds`): the batch kernel
+    amortizes per-node overhead within a worker, the pool spreads the
+    groups across workers.  Models that must stay serial
+    (:func:`_wants_serial`) fit their folds in-process, in order.
 
     Results are bit-identical for any ``n_workers``, with or without a
     persistent pool, on either transport: each fold consumes only its
@@ -186,21 +223,8 @@ def logo_fold_vectors(
             obs.counter("engine.scaled_folds.hits")
         scalers.append(scaler)
     obs.counter("engine.folds.fitted", len(names))
-    if hist and can_lockstep(model, [groups != bench for bench in names]):
-        # Lockstep beats fold-level process fan-out here (one kernel
-        # call covers every fold), so it runs in-process for any
-        # n_workers — which also makes worker-count invariance trivial.
-        lockstep_folds = [
-            (groups != bench, scaler.center_, scaler.scale_,
-             scaler.transform(probe_features[bench][None, :])[0])
-            for bench, scaler in zip(names, scalers)
-        ]
-        with obs.span("fold_batch", n_folds=len(names), n_workers=1,
-                      plane="lockstep"):
-            preds = fit_predict_folds(model, binned, Y, lockstep_folds)
-        return dict(zip(names, preds))
-    vectors = []
     if _wants_serial(model):
+        vectors = []
         for bench, scaler in zip(names, scalers):
             mask = groups != bench
             fit_kw = {}
@@ -223,16 +247,25 @@ def logo_fold_vectors(
         (bench, probe_features[bench], scaler.center_, scaler.scale_)
         for bench, scaler in zip(names, scalers)
     ]
+    if hist and can_lockstep(model, [groups != bench for bench in names]):
+        # One contiguous group per worker; each grows as one lockstep batch.
+        n_groups = min(n_workers, len(folds))
+        cuts = [len(folds) * g // n_groups for g in range(n_groups + 1)]
+        tasks = [folds[a:b] for a, b in zip(cuts, cuts[1:])]
+    else:
+        # One fold per task, so adaptive chunking balances the pool.
+        tasks = [[fold] for fold in folds]
     if n_workers == 1:
         # The arrays are their own (inline) refs in-process.
-        for fold in folds:
-            with obs.span("fold", benchmark=fold[0]):
-                vectors.append(_fit_predict_fold((model, payload, *fold)))
+        vectors = []
+        for task in tasks:
+            with obs.span("fold", benchmark=task[0][0], n_folds=len(task)):
+                vectors.extend(_fit_predict_fold((model, payload, task)))
     elif pool is not None:
-        vectors = _dispatch_folds(pool, model, payload, folds, n_workers)
+        vectors = _dispatch_folds(pool, model, payload, tasks, n_workers)
     else:
         with WorkerPool(n_workers) as transient:
-            vectors = _dispatch_folds(transient, model, payload, folds, n_workers)
+            vectors = _dispatch_folds(transient, model, payload, tasks, n_workers)
     return dict(zip(names, vectors))
 
 
@@ -240,24 +273,26 @@ def _dispatch_folds(
     pool: WorkerPool,
     model: Regressor,
     payload: dict[str, np.ndarray],
-    folds: list[tuple],
+    tasks: list[list[tuple]],
     n_workers: int,
 ) -> list[np.ndarray]:
-    """Fan *folds* out through *pool*, publishing *payload* once.
+    """Fan fold *tasks* out through *pool*, publishing *payload* once.
 
-    The pool's store decides the transport (shared memory, or inline
-    refs pickled with the tasks); the published arrays are deduplicated
-    by identity, so a design's matrices are published once per run.
+    Returns the tasks' vectors flattened, in fold order.  The pool's
+    store decides the transport (shared memory, or inline refs pickled
+    with the tasks); the published arrays are deduplicated by identity,
+    so a design's matrices are published once per run.
     """
     store = pool.shm
     refs = {name: store.publish(array) for name, array in payload.items()}
     if store.transport == "shm":
         # What the tasks would carry if each were pickled on its own.
         per_task = sum(array.nbytes for array in payload.values())
-        obs.counter("pool.shm_bytes_saved", per_task * len(folds))
-    with obs.span("fold_batch", n_folds=len(folds), n_workers=n_workers,
-                  plane=store.transport):
-        return pool.map(_fit_predict_fold, [(model, refs, *fold) for fold in folds])
+        obs.counter("pool.shm_bytes_saved", per_task * len(tasks))
+    with obs.span("fold_batch", n_folds=sum(map(len, tasks)),
+                  n_workers=n_workers, plane=store.transport):
+        results = pool.map(_fit_predict_fold, [(model, refs, task) for task in tasks])
+    return [vector for vectors in results for vector in vectors]
 
 
 class _VectorCacheMixin:

@@ -13,11 +13,14 @@ Unlike :class:`~repro.ml.forest.RandomForestRegressor`, boosting offers
 no tree-level ``n_jobs`` path: each round's tree is fitted to residuals
 that depend on every preceding round, so rounds are inherently
 sequential.  Concurrency for boosted cells comes from the fold level
-instead (see :func:`repro.core.engine.logo_fold_vectors`) — and, with
-``tree_method="hist"``, from growing every LOGO fold's round-``r`` tree
-as one level-wise batch on shared binned codes
-(:func:`fit_predict_folds`), which amortizes the kernel's per-call
-overhead across all folds of a cell.
+instead (see :func:`repro.core.engine.logo_fold_vectors`): exact-mode
+folds go to the worker pool one per task.  When :func:`can_lockstep`
+holds (``tree_method="hist"``, no row subsampling, equal-size folds),
+the engine cuts a cell's folds into one contiguous group per worker, and
+each group grows its folds' round-``r`` trees as one level-wise batch on
+the shared binned codes (:func:`fit_predict_folds`).  The batch
+amortizes the kernel's per-call overhead across the group's folds; the
+groups run side by side on the pool.
 """
 
 from __future__ import annotations

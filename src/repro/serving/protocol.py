@@ -68,6 +68,10 @@ def encode_array(a: np.ndarray) -> str:
 
 def decode_array(text: str, *, shape=None) -> np.ndarray:
     """Inverse of :func:`encode_array`; optionally reshape."""
+    if not isinstance(text, str):
+        raise ValidationError(
+            f"array field must be a base64 string, got {type(text).__name__}"
+        )
     try:
         raw = base64.b64decode(text.encode("ascii"), validate=True)
     except (ValueError, UnicodeEncodeError) as exc:

@@ -172,6 +172,28 @@ class TestWorkerDeterminism:
         assert not _wants_serial(GradientBoostingRegressor(2, tree_method="hist"))
         assert not _wants_serial(GradientBoostingRegressor(2, subsample=0.5))
 
+    def test_generator_seeded_boosting_stays_serial(self, small_intel):
+        # A stateful Generator keeps even lockstep-capable hist boosting
+        # on the in-process fallback: results and the generator's final
+        # state do not depend on n_workers.
+        rep = PearsonRndRepresentation()
+        design = FewRunsDesign(small_intel, n_probe_runs=8, n_replicas=2)
+        X, Y, groups = design.rows(rep)
+        runs = []
+        for n_workers in (1, 2):
+            model = GradientBoostingRegressor(
+                5, max_depth=3, colsample_bytree=0.5,
+                rng=np.random.default_rng(3), tree_method="hist",
+            )
+            vectors = logo_fold_vectors(
+                X, Y, groups, design.probe_features, model, n_workers=n_workers
+            )
+            runs.append((vectors, model.rng.random()))
+        (serial, after_serial), (pooled, after_pooled) = runs
+        assert after_serial == after_pooled
+        for bench in serial:
+            assert np.array_equal(serial[bench], pooled[bench])
+
 
 class TestHistEngine:
     """Engine integration of the pre-binned histogram kernel."""
@@ -193,27 +215,54 @@ class TestHistEngine:
         for bench in serial:
             assert np.array_equal(serial[bench], parallel[bench])
 
-    def test_gb_lockstep_matches_per_fold_path(self, small_intel, monkeypatch):
-        from repro.core import engine
-
+    @staticmethod
+    def _lockstep_case(small_intel):
         rep = PearsonRndRepresentation()
         design = FewRunsDesign(small_intel, n_probe_runs=8, n_replicas=2)
         X, Y, groups = design.rows(rep)
         model = GradientBoostingRegressor(
             10, max_depth=3, colsample_bytree=0.5, rng=7, tree_method="hist"
         )
-        lockstep = logo_fold_vectors(
-            X, Y, groups, design.probe_features, model, n_workers=1
-        )
-        # Disable the all-folds batch so the engine falls back to the
-        # per-fold hist loop; the two routes must be bit-identical.
+        return X, Y, groups, design.probe_features, model
+
+    def test_gb_lockstep_matches_per_fold_path(self, small_intel, monkeypatch):
+        from repro.core import engine
+
+        X, Y, groups, probes, model = self._lockstep_case(small_intel)
+        # 5 folds: one group in-process, uneven groups on 2 and 3
+        # workers, and more workers than folds (one fold per group).
+        lockstep = {
+            n_workers: logo_fold_vectors(X, Y, groups, probes, model, n_workers=n_workers)
+            for n_workers in (1, 2, 3, 6)
+        }
+        # Disable lockstep so the engine falls back to the per-fold hist
+        # loop; every route must be bit-identical.
         monkeypatch.setattr(engine, "can_lockstep", lambda *a: False)
-        per_fold = logo_fold_vectors(
-            X, Y, groups, design.probe_features, model, n_workers=1
-        )
-        assert sorted(lockstep) == sorted(per_fold)
-        for bench in lockstep:
-            assert np.array_equal(lockstep[bench], per_fold[bench])
+        per_fold = logo_fold_vectors(X, Y, groups, probes, model, n_workers=1)
+        for n_workers, vectors in lockstep.items():
+            assert list(vectors) == list(per_fold), n_workers
+            for bench in per_fold:
+                assert np.array_equal(vectors[bench], per_fold[bench]), (n_workers, bench)
+
+    @pytest.mark.parametrize("n_workers", [2, 6])
+    def test_pooled_lockstep_sends_one_task_per_worker(
+        self, small_intel, monkeypatch, n_workers
+    ):
+        from repro.parallel.worker_pool import WorkerPool
+
+        X, Y, groups, probes, model = self._lockstep_case(small_intel)
+        sent = []
+        original = WorkerPool.map
+
+        def spy(pool, fn, items, **kwargs):
+            items = list(items)
+            sent.append(len(items))
+            return original(pool, fn, items, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "map", spy)
+        logo_fold_vectors(X, Y, groups, probes, model, n_workers=n_workers)
+        # A fallback to in-process lockstep would send nothing.
+        assert sent == [min(n_workers, len(probes))]
 
     def test_design_caches_binned_matrix(self, small_intel):
         from repro.ml.forest import RandomForestRegressor

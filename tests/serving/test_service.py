@@ -395,6 +395,17 @@ class TestProtocolEdges:
                 )
         assert reply["status"] == 400
 
+    def test_non_string_array_field_is_400(self, registry, intel_small):
+        # A base64 array field holding another JSON type used to escape
+        # decoding as AttributeError and come back as a 500.
+        payload = _predict_payload(intel_small["npb/cg"].subset(range(6)))
+        payload["probe"]["campaign"]["runtimes"] = 5
+        with ServerHandle(registry) as server:
+            with ServingClient("127.0.0.1", server.port) as client:
+                reply = client.request(payload)
+        assert reply["status"] == 400, reply
+        assert "base64 string" in reply["error"]
+
     def test_unknown_op_is_400(self, registry):
         with ServerHandle(registry) as server:
             with ServingClient("127.0.0.1", server.port) as client:

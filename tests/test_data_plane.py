@@ -209,11 +209,13 @@ class TestWorkerPool:
         pool.close()
 
 
-#: One model per fold payload: float64 ``X`` (knn, exact rf) or binned codes (hist rf).
+#: One model per fold payload: float64 ``X`` (knn, exact rf) or binned
+#: codes (hist rf; hist boosting, whose folds travel as lockstep groups).
 PAYLOADS = {
     "knn": dict(model="knn"),
     "rf-exact": dict(model="rf"),
     "rf-hist": dict(model="rf", tree_method="hist"),
+    "xgb-hist": dict(model="xgboost", tree_method="hist"),
 }
 
 
