@@ -17,6 +17,9 @@ The lifecycle mirrors the pool's hard-won rules:
   payload over a one-way pipe, and the parent blocks on it with a
   timeout, so a child that dies during startup surfaces as an error in
   the parent instead of a hang;
+* spawning and awaiting the handshake are separate steps, so a parent
+  starting several children spawns them all before it waits on any and
+  their start-ups (interpreter boot, imports, binding) overlap;
 * teardown escalates: cooperative join first, ``terminate()`` after a
   grace period, ``kill()`` as the last resort.
 """
@@ -44,7 +47,8 @@ class SpawnedProcess:
     The *target* is called as ``target(conn, *args)`` in the child and
     must send exactly one picklable ready payload through ``conn``
     (e.g. ``conn.send({"port": port})``) once its resources are bound.
-    The payload is available as :attr:`ready` after construction.
+    Construction spawns the child and returns at once; :meth:`wait_ready`
+    blocks until the payload arrives and returns it.
     """
 
     def __init__(
@@ -54,26 +58,45 @@ class SpawnedProcess:
         name: str | None = None,
         start_timeout_s: float = 60.0,
     ) -> None:
-        """Spawn the child and block until its ready payload arrives."""
+        """Spawn the child; its handshake is due within *start_timeout_s*."""
         ctx = multiprocessing.get_context("spawn")
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
+        self._conn, send_conn = ctx.Pipe(duplex=False)
         self._process = ctx.Process(
             target=target, args=(send_conn, *args), name=name, daemon=True
         )
-        self._process.start()
-        send_conn.close()  # child holds the only writer now
-        self.ready = self._await_ready(recv_conn, start_timeout_s)
-        recv_conn.close()
+        self._timeout_s = start_timeout_s
+        self._deadline = time.monotonic() + start_timeout_s
+        try:
+            self._process.start()
+        except BaseException:
+            self._conn.close()
+            raise
+        finally:
+            send_conn.close()  # the child holds the only writer now
 
-    def _await_ready(self, conn, timeout_s: float):
+    def wait_ready(self):
+        """Block until the child's ready payload arrives; returns it.
+
+        Call once. If the child exits, closes its pipe without a payload,
+        or stays silent past its start timeout (counted from the spawn),
+        the child is stopped and :class:`ProcessStartupError` raised. The
+        parent's pipe end is closed on every path.
+        """
+        try:
+            return self._await_ready()
+        except BaseException:
+            self.stop(grace_s=0.0)
+            raise
+        finally:
+            self._conn.close()
+
+    def _await_ready(self):
         """Poll for the handshake, failing fast if the child exits."""
-        deadline = time.monotonic() + timeout_s
         while True:
-            if conn.poll(_POLL_S):
+            if self._conn.poll(_POLL_S):
                 try:
-                    return conn.recv()
+                    return self._conn.recv()
                 except EOFError as exc:
-                    self.stop(grace_s=0.0)
                     raise ProcessStartupError(
                         f"process {self.name!r} closed its handshake pipe "
                         "without sending a ready payload"
@@ -83,11 +106,10 @@ class SpawnedProcess:
                     f"process {self.name!r} exited with code "
                     f"{self._process.exitcode} before its ready handshake"
                 )
-            if time.monotonic() > deadline:
-                self.stop(grace_s=0.0)
+            if time.monotonic() > self._deadline:
                 raise ProcessStartupError(
                     f"process {self.name!r} sent no ready payload within "
-                    f"{timeout_s:.0f}s"
+                    f"{self._timeout_s:.0f}s"
                 )
 
     @property
@@ -111,6 +133,7 @@ class SpawnedProcess:
         a drain op over TCP) should use it *before* calling ``stop`` so
         the join succeeds inside the grace period.
         """
+        self._conn.close()
         self._process.join(timeout=grace_s)
         if self._process.is_alive():
             self._process.terminate()

@@ -6,10 +6,12 @@ root and a shard count, and it
 
 1. starts a :class:`~repro.serving.fleet.router.FleetRouter` on a
    background event-loop thread and binds the client-facing port;
-2. spawns each shard as a :class:`~repro.parallel.procs.SpawnedProcess`
-   running :func:`~repro.serving.fleet.shard.run_shard`, waits for the
-   ready handshake (the bound port), and joins it to the router's
-   partition map;
+2. spawns every shard as a :class:`~repro.parallel.procs.SpawnedProcess`
+   running :func:`~repro.serving.fleet.shard.run_shard` before it waits
+   on any, so their start-ups overlap; then, in shard-id order, waits
+   for each ready handshake (the bound port) and joins the shard to the
+   router's partition map, so map versions and placement do not depend
+   on which shard came up first;
 3. exposes synchronous ``add_shard`` / ``remove_shard`` / ``info`` /
    ``close`` so tests, the bench harness, and the CLI drive rebalances
    without touching asyncio.
@@ -100,10 +102,19 @@ class FleetHandle:
         if self._startup_error is not None:
             raise self._startup_error
 
+        spawned: list[tuple[str, SpawnedProcess]] = []
         try:
             for _ in range(n_shards):
-                self.add_shard()
+                shard_id = self._claim_id(None)
+                spawned.append((shard_id, self._spawn(shard_id)))
+            for shard_id, proc in spawned:
+                self._join(shard_id, proc)
         except BaseException:
+            # Joined shards are drained and reaped by close(); the rest
+            # were never routed to, so they are simply stopped.
+            for shard_id, proc in spawned:
+                if shard_id not in self._procs:
+                    proc.stop(grace_s=0.0)
             self.close()
             raise
 
@@ -127,12 +138,22 @@ class FleetHandle:
 
     def add_shard(self, shard_id: str | None = None) -> str:
         """Spawn one shard process and join it to the partition map."""
+        shard_id = self._claim_id(shard_id)
+        self._join(shard_id, self._spawn(shard_id))
+        return shard_id
+
+    def _claim_id(self, shard_id: str | None) -> str:
+        """*shard_id*, or the next free ``shard-N``; refuses a live id."""
         if shard_id is None:
             shard_id = f"shard-{self._next_shard}"
             self._next_shard += 1
         if shard_id in self._procs:
             raise ValidationError(f"shard {shard_id!r} already exists")
-        proc = SpawnedProcess(
+        return shard_id
+
+    def _spawn(self, shard_id: str) -> SpawnedProcess:
+        """Start one shard process; returns before its handshake."""
+        return SpawnedProcess(
             run_shard,
             shard_id,
             self._store_root,
@@ -141,14 +162,16 @@ class FleetHandle:
             self.host,
             name=f"repro-{shard_id}",
         )
+
+    def _join(self, shard_id: str, proc: SpawnedProcess) -> None:
+        """Await *proc*'s handshake and add it to the router's map."""
         try:
-            _, shard_host, shard_port, _ = parse_shard_ready(proc.ready)
+            _, shard_host, shard_port, _ = parse_shard_ready(proc.wait_ready())
             self._call(self.router.add_shard(shard_id, shard_host, shard_port))
         except BaseException:
             proc.stop(grace_s=0.0)
             raise
         self._procs[shard_id] = proc
-        return shard_id
 
     def remove_shard(self, shard_id: str) -> None:
         """Gracefully drain one shard out of the fleet and reap its process."""

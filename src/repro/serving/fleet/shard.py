@@ -11,7 +11,11 @@ additions:
   leave — acknowledge, answer everything in flight, exit);
 * a startup handshake: the freshly bound port travels up the
   :class:`~repro.parallel.procs.SpawnedProcess` pipe before the parent
-  proceeds, so the router never races an unbound socket.
+  proceeds, so the router never races an unbound socket;
+* the sampler stack (``scipy.stats``) is loaded before the shard binds.
+  Its one-off import takes about a second; paid on the first sampling
+  request instead, the Kingman gate would read it as service time and
+  shed the requests behind it.
 
 Shards hydrate models from the **shared content-addressed store** — the
 parent fits and saves once, shards only read — so any shard can serve
@@ -27,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import os
 
+from ...stats.pearson import load_sampler_stack
 from ..registry import ModelRegistry
 from ..server import serve, shutdown_server
 from ..service import ServingConfig
@@ -93,11 +98,13 @@ def run_shard(
 ) -> None:
     """Process entry point (module-level for spawn picklability).
 
-    Runs one shard event loop to completion; *conn* is the write end of
-    the parent's handshake pipe and receives one
-    :func:`~repro.serving.fleet.messages.shard_ready` payload.
+    Loads the sampler stack, then runs one shard event loop to
+    completion; *conn* is the write end of the parent's handshake pipe
+    and receives one :func:`~repro.serving.fleet.messages.shard_ready`
+    payload.
     """
     try:
+        load_sampler_stack()
         asyncio.run(
             _shard_main(
                 conn, shard_id, store_root, serving_config, admission_config, host

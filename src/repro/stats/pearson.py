@@ -15,6 +15,11 @@ scratch:
   for type IV (via the ``x = lam + a*tan(theta)`` substitution that maps
   the infinite support onto ``(-pi/2, pi/2)``).
 
+``scipy.stats`` costs about a second and 65 MB to import, so it is
+imported inside the builders that return its families, not at module
+level: importing ``repro`` (or a serving process that never samples)
+does not pay for it.  :func:`load_sampler_stack` pays it up front.
+
 Every returned distribution matches the requested mean and standard
 deviation exactly (affine correction) and the requested skewness/kurtosis
 up to the feasibility of its type family.
@@ -22,11 +27,11 @@ up to the feasibility of its type family.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats as sps
 
 from .._validation import check_random_state
 from ..errors import MomentError, ReconstructionError
@@ -37,6 +42,7 @@ __all__ = [
     "PearsonDistribution",
     "pearson_system",
     "pearsrnd",
+    "load_sampler_stack",
 ]
 
 _EPS = np.finfo(np.float64).eps
@@ -85,6 +91,16 @@ def classify_pearson(skew: float, kurt: float) -> int:
     return 6
 
 
+def load_sampler_stack() -> None:
+    """Import ``scipy.stats`` now instead of at the first sampler build.
+
+    For a process that must not pay the one-off import on a request,
+    e.g. a fleet shard whose admission gate would read the stall as
+    service time.
+    """
+    importlib.import_module("scipy.stats")
+
+
 # ---------------------------------------------------------------------------
 # Per-type moment-matched constructions.  Each builder returns a scipy
 # frozen distribution whose skewness/kurtosis match the request; the caller
@@ -92,8 +108,17 @@ def classify_pearson(skew: float, kurt: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _build_normal():
+    """Standard normal (type 0, and the fallback at type boundaries)."""
+    from scipy import stats as sps
+
+    return sps.norm()
+
+
 def _build_type2(kurt: float):
     """Symmetric beta on a symmetric interval (kurt < 3)."""
+    from scipy import stats as sps
+
     # Symmetric beta(alpha, alpha) has kurt = 3 - 6/(2*alpha + 3).
     alpha = (6.0 / (3.0 - kurt) - 3.0) / 2.0
     if alpha <= 0.0:
@@ -105,6 +130,8 @@ def _build_type2(kurt: float):
 
 def _build_type7(kurt: float):
     """Student's t (symmetric, kurt > 3)."""
+    from scipy import stats as sps
+
     # t_nu has kurt = 3 + 6/(nu - 4) for nu > 4.
     nu = 4.0 + 6.0 / (kurt - 3.0)
     return sps.t(nu)
@@ -112,12 +139,16 @@ def _build_type7(kurt: float):
 
 def _build_type3(skew: float):
     """Gamma (possibly mirrored), on the line kurt = 1.5*skew**2 + 3."""
+    from scipy import stats as sps
+
     k = 4.0 / (skew * skew)
     return sps.gamma(k)
 
 
 def _build_type1(skew: float, kurt: float):
     """General beta via the classical method-of-moments solution."""
+    from scipy import stats as sps
+
     # Classical method-of-moments for beta: with b2 the (non-excess)
     # kurtosis, the shape total r = a + b solves
     # r = 6*(b2 - skew^2 - 1) / (6 + 3*skew^2 - 2*b2)
@@ -144,6 +175,8 @@ def _build_type1(skew: float, kurt: float):
 
 def _build_type5(skew: float):
     """Inverse gamma on the kappa == 1 boundary."""
+    from scipy import stats as sps
+
     # skew of invgamma(alpha) = 4*sqrt(alpha-2)/(alpha-3), alpha > 3.
     g = abs(skew)
     if g < 1e-12:
@@ -159,6 +192,7 @@ def _build_type5(skew: float):
 
 def _build_type6(skew: float, kurt: float):
     """Beta-prime (Pearson VI) via 2-D numeric moment matching."""
+    from scipy import stats as sps
     from scipy.optimize import brentq
 
     g1 = abs(skew)
@@ -383,7 +417,7 @@ def pearson_system(
     ptype = classify_pearson(skew, kurt)
 
     builders: dict[int, Callable[[], object]] = {
-        0: lambda: sps.norm(),
+        0: _build_normal,
         1: lambda: _build_type1(skew, kurt),
         2: lambda: _build_type2(kurt),
         3: lambda: _build_type3(skew),
@@ -397,7 +431,7 @@ def pearson_system(
     except ReconstructionError:
         # Geometry edge cases near type boundaries: retreat to the normal
         # distribution rather than failing a whole prediction pipeline.
-        base = sps.norm()
+        base = _build_normal()
         ptype = 0
 
     mirror = ptype in (3, 5, 6) and skew < 0.0
