@@ -31,8 +31,7 @@ __all__ = ["main"]
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Fit-or-load a model, start the server, block until Ctrl-C."""
     registry = _fit_or_reuse(args)
-    config = ServingConfig(plane=args.plane, n_workers=args.n_workers)
-    with ServerHandle(registry, config, port=args.port) as server:
+    with ServerHandle(registry, port=args.port) as server:
         print(f"serving {args.tag!r} on 127.0.0.1:{server.port} (Ctrl-C to stop)")
         try:
             threading.Event().wait()
@@ -112,8 +111,6 @@ def main(argv=None) -> int:
     serve_p.add_argument("--representation", default="pearsonrnd")
     serve_p.add_argument("--n-runs", type=int, default=300)
     serve_p.add_argument("--port", type=int, default=0)
-    serve_p.add_argument("--plane", choices=("thread", "pool"), default="thread")
-    serve_p.add_argument("--n-workers", type=int, default=1)
     serve_p.set_defaults(func=_cmd_serve)
 
     fleet_p = sub.add_parser(

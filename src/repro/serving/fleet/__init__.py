@@ -24,7 +24,6 @@ Operations story (topology, admission math, runbook):
 """
 
 from .admission import AdmissionConfig, AdmissionSnapshot, KingmanAdmission
-from .admission import cs2_from_moments, cs2_from_percentiles
 from .feedback import predict_fleet_p99, samples_to_campaign
 from .handle import FleetHandle
 from .messages import OP_DRAIN, OP_FLEET, OP_HEALTH
@@ -36,8 +35,6 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionSnapshot",
     "KingmanAdmission",
-    "cs2_from_moments",
-    "cs2_from_percentiles",
     "predict_fleet_p99",
     "samples_to_campaign",
     "FleetHandle",

@@ -1,15 +1,17 @@
 """Queueing-aware admission control: shed before the Kingman knee.
 
-The single-process server's fixed ``queue_limit`` admits work until a
-request *count* is reached — a policy blind to how expensive requests
-are and how bursty they arrive.  Queueing theory says waiting time in a
-G/G/1 queue is governed by Kingman's approximation:
+The service's fixed ``queue_limit`` admits work until a request *count*
+is reached — a policy blind to how expensive requests are and how
+bursty they arrive.  It stays on as the hard depth backstop; this gate
+sheds in front of it.  Queueing theory says waiting time in a G/G/1
+queue is governed by Kingman's approximation:
 
     Wq  ≈  ρ/(1−ρ) · (Ca² + Cs²)/2 · E[S]
 
-where ρ is utilization (arrival rate λ × mean service time E[S] /
-servers), Ca² the squared coefficient of variation of interarrival
-times, and Cs² the squared coefficient of variation of service times.
+where ρ = λ·E[S] is utilization (arrival rate × mean service time; a
+shard executes one batch at a time, so it is one server), Ca² the
+squared coefficient of variation of interarrival times, and Cs² the
+squared coefficient of variation of service times.
 Waiting explodes hyperbolically as ρ→1 — the *knee* — and it explodes
 earlier when service times are more variable (larger Cs²).  A fixed
 queue bound admits deep into the knee on variable workloads and sheds
@@ -34,10 +36,9 @@ documented "Kingman knee" — is therefore
 exports percentiles, not full samples, and percentiles carry no
 distribution-free variance information: estimating Cs² from p50/p99
 *requires* a modeling assumption.  Following the practical appendix in
-SNIPPETS.md (emcrisostomo/latency-simulation), the default estimator
-assumes service times are **log-normal** — positive support, right
-skew, moderate tails — under which p50 = exp(μ) and
-p99 = exp(μ + z₉₉·σ), so
+SNIPPETS.md (emcrisostomo/latency-simulation), the estimator assumes
+service times are **log-normal** — positive support, right skew,
+moderate tails — under which p50 = exp(μ) and p99 = exp(μ + z₉₉·σ), so
 
     σ_ln = ln(p99/p50) / z₉₉        (z₉₉ = Φ⁻¹(0.99) ≈ 2.3263)
     Cs²  = exp(σ_ln²) − 1
@@ -47,12 +48,11 @@ shared with the percentile-only probe path
 (:class:`~repro.core.sketch.QuantileSketch` recovers model features
 from telemetry percentiles under the same assumption).
 
-This estimator is also what the fleet uses on its own *measured*
-windows (via the window's empirical p50/p99) because it is robust to
-the stray multi-second outlier that would dominate a raw-moment
-variance estimate; set ``cs2_estimator="moments"`` for the textbook
-Var(S)/E[S]² form.  Confusing Cs with Cs² systematically underestimates
-waiting — everything here is the *squared* coefficient.
+The gate applies this estimator to its own *measured* window (via the
+window's empirical p50/p99) because it is robust to the stray
+multi-second outlier that would dominate a raw-moment Var(S)/E[S]²
+estimate.  Confusing Cs with Cs² systematically underestimates waiting
+— everything here is the *squared* coefficient.
 
 Metrics: ``fleet.rho`` / ``fleet.cs2`` gauges track the latest window
 estimates, ``fleet.shed`` counts refusals, and ``fleet.service_s`` is
@@ -72,21 +72,11 @@ import numpy as np
 from ... import obs
 from ...errors import ValidationError
 
-# The percentile→moment math lives in repro.stats.lognormal (shared with
-# QuantileSketch, which recovers model features from the same p50/p99
-# formulas); re-exported here for backward compatibility.
-from ...stats.lognormal import Z99, cs2_from_moments, cs2_from_percentiles
+# The percentile→moment math is shared with QuantileSketch, which
+# recovers model features from the same p50/p99 formulas.
+from ...stats.lognormal import cs2_from_percentiles
 
-__all__ = [
-    "Z99",
-    "cs2_from_percentiles",
-    "cs2_from_moments",
-    "AdmissionConfig",
-    "AdmissionSnapshot",
-    "KingmanAdmission",
-]
-
-_CS2_ESTIMATORS = ("lognormal", "moments")
+__all__ = ["AdmissionConfig", "AdmissionSnapshot", "KingmanAdmission"]
 
 
 @dataclass(frozen=True)
@@ -107,21 +97,12 @@ class AdmissionConfig:
     min_samples:
         Admit unconditionally until this many service times have been
         observed — an empty window has no defensible estimate.
-    servers:
-        Parallel servers behind this admission point (the per-shard
-        service executes one batch at a time, so shards use 1).
-    cs2_estimator:
-        ``"lognormal"`` (window p50/p99 through the explicit lognormal
-        assumption — the default, robust to outliers) or ``"moments"``
-        (raw Var/Mean² over the window).
     """
 
     window: int = 512
     knee: float = 4.0
     rho_max: float = 0.95
     min_samples: int = 32
-    servers: int = 1
-    cs2_estimator: str = "lognormal"
 
     def __post_init__(self) -> None:
         """Validate ranges; raises :class:`~repro.errors.ValidationError`."""
@@ -133,13 +114,6 @@ class AdmissionConfig:
             raise ValidationError("rho_max must be in (0, 1)")
         if self.min_samples < 2:
             raise ValidationError("min_samples must be >= 2")
-        if self.servers < 1:
-            raise ValidationError("servers must be >= 1")
-        if self.cs2_estimator not in _CS2_ESTIMATORS:
-            raise ValidationError(
-                f"cs2_estimator must be one of {_CS2_ESTIMATORS}, "
-                f"got {self.cs2_estimator!r}"
-            )
 
     def rho_knee(self, ca2: float, cs2: float) -> float:
         """Utilization at which the wait budget is exactly exhausted.
@@ -252,10 +226,8 @@ class KingmanAdmission:
         return float(gaps.var() / (mean * mean))
 
     def _cs2(self) -> float:
-        """Cs² over the service-time window, per the configured estimator."""
+        """Cs² of the service-time window under the lognormal assumption."""
         samples = np.asarray(self._service_s, dtype=np.float64)
-        if self.config.cs2_estimator == "moments":
-            return cs2_from_moments(samples)
         p50 = float(np.percentile(samples, 50))
         p99 = float(np.percentile(samples, 99))
         if p50 <= 0.0 or p99 < p50:
@@ -280,7 +252,7 @@ class KingmanAdmission:
         mean_s = float(samples.mean())
         ca2 = self._ca2()
         cs2 = self._cs2()
-        rho = min(self._arrival_rate(now) * mean_s / self.config.servers, 1.0)
+        rho = min(self._arrival_rate(now) * mean_s, 1.0)
         if rho < 1.0:
             wait_s = rho / (1.0 - rho) * (ca2 + cs2) / 2.0 * mean_s
         else:

@@ -4,8 +4,9 @@ A shard is an ordinary :class:`~repro.serving.service.PredictionService`
 + JSONL TCP server running in its own spawned process, with three fleet
 additions:
 
-* admission is a :class:`~repro.serving.fleet.admission.KingmanAdmission`
-  gate instead of the deprecated fixed ``queue_limit``;
+* a :class:`~repro.serving.fleet.admission.KingmanAdmission` gate sheds
+  in front of the fixed ``queue_limit`` cap, which stays on as the depth
+  backstop (the gate admits unconditionally while it warms up);
 * two extra protocol ops: ``health`` (heartbeat pull — admission
   snapshot, service stats, in-flight depth) and ``drain`` (graceful
   leave — acknowledge, answer everything in flight, exit);

@@ -40,6 +40,7 @@ from ..errors import ValidationError
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "MAX_SAMPLES",
     "encode_array",
     "decode_array",
     "encode_campaign",
@@ -58,6 +59,11 @@ __all__ = [
 #: Version tag clients send; v2 introduced probe polymorphism
 #: (``probe_kind``), and v1 bodies are rejected.
 PROTOCOL_VERSION = 2
+
+#: Most distribution draws one predict request may ask for.  The reply's
+#: ``samples`` field (base64 float64, about 10.7 MB at the cap) stays far
+#: below the 64 MiB line limit of the server's and router's streams.
+MAX_SAMPLES = 1_000_000
 
 
 def encode_array(a: np.ndarray) -> str:

@@ -145,7 +145,6 @@ async def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    pool=None,
     admission=None,
     inflight: set | None = None,
     extra_ops: dict | None = None,
@@ -154,13 +153,13 @@ async def serve(
 
     ``port=0`` binds an ephemeral port — read it back from
     ``server.sockets[0].getsockname()[1]``.  Pass an *admission* gate to
-    replace the fixed ``queue_limit`` policy (fleet shards pass a
-    :class:`~repro.serving.fleet.admission.KingmanAdmission`), an
-    *inflight* set to observe pending answer tasks during drain, and
+    shed on predicted wait in front of the ``queue_limit`` cap (fleet
+    shards pass a :class:`~repro.serving.fleet.admission.KingmanAdmission`),
+    an *inflight* set to observe pending answer tasks during drain, and
     *extra_ops* (``op -> async handler(service, payload)``) to extend
     the protocol (shards add ``health``/``drain``).
     """
-    service = PredictionService(registry, config, pool=pool, admission=admission)
+    service = PredictionService(registry, config, admission=admission)
     await service.start()
 
     if extra_ops:
@@ -233,7 +232,6 @@ class ServerHandle:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        pool=None,
     ) -> None:
         """Start the loop thread and block until the socket is bound."""
         self.host = host
@@ -250,14 +248,7 @@ class ServerHandle:
             self._loop = loop
             try:
                 self._server, self._service = loop.run_until_complete(
-                    serve(
-                        registry,
-                        config,
-                        host=host,
-                        port=port,
-                        pool=pool,
-                        inflight=self._inflight,
-                    )
+                    serve(registry, config, host=host, port=port, inflight=self._inflight)
                 )
             except BaseException as exc:  # noqa: BLE001 — surfaced to ctor
                 self._startup_error = exc

@@ -19,26 +19,21 @@ into few batched evaluations without changing a single output bit:
   replay the identical response.
 * **Admission control** — at most ``queue_limit`` requests may be in
   flight; beyond that, new requests are rejected immediately with a
-  429-style response instead of growing an unbounded queue.  The fixed
-  count as the *primary* policy is **deprecated in favor of
-  queueing-aware admission**: pass an ``admission`` gate (see
-  :class:`repro.serving.fleet.admission.KingmanAdmission`) and the
-  service sheds on predicted Kingman wait (utilization × variability)
-  — the policy every fleet shard runs — while ``queue_limit`` stays on
-  as a hard depth backstop, covering the gate's ``min_samples`` warmup
-  window when it admits unconditionally (migration notes in
-  ``docs/SERVING.md``).
+  429-style response instead of growing an unbounded queue.  It is the
+  only depth cap of a plain ``serve`` process.  An optional
+  ``admission`` gate (see
+  :class:`repro.serving.fleet.admission.KingmanAdmission`) adds
+  shedding on predicted Kingman wait (utilization × variability) — the
+  policy every fleet shard runs — and ``queue_limit`` stays on beside
+  it as the hard depth backstop, covering the gate's ``min_samples``
+  warmup window when it admits unconditionally.
 * **Deadlines** — every request carries a deadline (client-supplied or
   ``default_deadline_s``); a request that cannot be answered in time
   resolves to a 504-style response, its slot is reclaimed, and it is
   never computed afterwards.
 
-Two execution planes are supported: ``"thread"`` (a dedicated worker
-thread in this process — the default, zero extra processes) and
-``"pool"`` (dispatch onto a persistent
-:class:`~repro.parallel.worker_pool.WorkerPool`, where each worker
-hydrates models from the shared artifact store).  Both planes run the
-same per-request code path.
+Batches execute on one dedicated worker thread in this process; to
+put serving on more cores, run a fleet (:mod:`repro.serving.fleet`).
 
 Metrics (``serving.*``) and the ``serving.batch`` span are documented
 in ``docs/OBSERVABILITY.md``.
@@ -47,8 +42,8 @@ in ``docs/OBSERVABILITY.md``.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
-import warnings
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -58,6 +53,7 @@ import numpy as np
 from .. import obs
 from ..errors import ArtifactError, ValidationError
 from .protocol import (
+    MAX_SAMPLES,
     decode_probe,
     encode_array,
     error,
@@ -68,8 +64,6 @@ from .registry import ModelRegistry
 
 __all__ = ["ServingConfig", "PredictionService"]
 
-_PLANES = ("thread", "pool")
-
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -79,11 +73,6 @@ class ServingConfig:
     ----------
     max_batch:
         Largest number of requests executed as one batch.
-    batch_window_s:
-        Deprecated since 3.1.0 and ignored; removed in 4.0.0.  Batching
-        is work-conserving, so there is no coalescing wait to tune.  An
-        explicit value is still range-checked and emits a
-        :class:`DeprecationWarning`.
     queue_limit:
         Admission bound: maximum requests in flight before new arrivals
         are rejected with status 429.  Always enforced — with an
@@ -96,46 +85,24 @@ class ServingConfig:
         Whether fingerprint-identical requests may be served from cache.
     default_deadline_s:
         Deadline applied when a request does not carry its own.
-    plane:
-        ``"thread"`` (in-process worker thread) or ``"pool"``
-        (dispatch onto a :class:`~repro.parallel.worker_pool.WorkerPool`).
-    n_workers:
-        Worker count for the pool plane (ignored by the thread plane).
     """
 
     max_batch: int = 32
-    batch_window_s: float | None = None
     queue_limit: int = 128
     cache_size: int = 256
     cache_enabled: bool = True
     default_deadline_s: float = 5.0
-    plane: str = "thread"
-    n_workers: int = 1
 
     def __post_init__(self) -> None:
         """Validate ranges; raises :class:`~repro.errors.ValidationError`."""
         if self.max_batch < 1:
             raise ValidationError("max_batch must be >= 1")
-        if self.batch_window_s is not None:
-            if self.batch_window_s < 0.0:
-                raise ValidationError("batch_window_s must be >= 0")
-            warnings.warn(
-                "ServingConfig.batch_window_s is deprecated since 3.1.0 and has "
-                "no effect (batching is work-conserving); drop the argument "
-                "before its removal in 4.0.0",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         if self.queue_limit < 1:
             raise ValidationError("queue_limit must be >= 1")
         if self.cache_size < 1:
             raise ValidationError("cache_size must be >= 1")
         if self.default_deadline_s <= 0.0:
             raise ValidationError("default_deadline_s must be > 0")
-        if self.plane not in _PLANES:
-            raise ValidationError(f"plane must be one of {_PLANES}, got {self.plane!r}")
-        if self.n_workers < 1:
-            raise ValidationError("n_workers must be >= 1")
 
 
 @dataclass
@@ -166,24 +133,20 @@ class PredictionService:
         registry: ModelRegistry,
         config: ServingConfig | None = None,
         *,
-        pool=None,
         admission=None,
     ) -> None:
         """Create a service over *registry*; ``await start()`` before use.
 
-        A pre-built :class:`~repro.parallel.worker_pool.WorkerPool` may
-        be passed for the pool plane; otherwise one is created lazily.
         An *admission* gate (duck-typed to
-        :class:`~repro.serving.fleet.admission.KingmanAdmission`)
-        supersedes the fixed ``queue_limit`` policy: its ``admit()``
-        decides per arrival and ``observe(service_s)`` is fed measured
-        per-request service times, with ``queue_limit`` retained as a
-        hard depth backstop.
+        :class:`~repro.serving.fleet.admission.KingmanAdmission`) adds
+        queueing-aware shedding in front of the fixed ``queue_limit``
+        cap: its ``admit()`` decides per arrival and
+        ``observe(service_s)`` is fed measured per-request service
+        times, with ``queue_limit`` kept as the hard depth backstop.
         """
         self.registry = registry
         self.config = config or ServingConfig()
         self.admission = admission
-        self._pool = pool
         self._cache: OrderedDict[str, dict] = OrderedDict()
         self._queue: asyncio.Queue | None = None
         self._batch_task: asyncio.Task | None = None
@@ -210,10 +173,6 @@ class PredictionService:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serving"
         )
-        if self.config.plane == "pool" and self._pool is None:
-            from ..parallel.worker_pool import WorkerPool
-
-            self._pool = WorkerPool(self.config.n_workers)
         self._batch_task = asyncio.get_running_loop().create_task(self._batch_loop())
 
     async def close(self) -> None:
@@ -346,15 +305,33 @@ class PredictionService:
                 "bare 'campaign' bodies were removed in 3.0.0"
             )
         probe = decode_probe(payload["probe"])
+        # Every field is checked here, before the request joins a batch:
+        # a bad value that failed inside the batch would fail its
+        # batch-mates with it.  JSON booleans are Python ints, so they
+        # are rejected explicitly.
         n_samples = payload.get("n_samples", 0)
         sample_seed = payload.get("sample_seed", 0)
-        if not isinstance(n_samples, int) or n_samples < 0:
-            raise ValidationError("n_samples must be a non-negative integer")
-        if not isinstance(sample_seed, int):
-            raise ValidationError("sample_seed must be an integer")
+        if (
+            not isinstance(n_samples, int)
+            or isinstance(n_samples, bool)
+            or not 0 <= n_samples <= MAX_SAMPLES
+        ):
+            raise ValidationError(
+                f"n_samples must be an integer in [0, {MAX_SAMPLES}]"
+            )
+        if (
+            not isinstance(sample_seed, int)
+            or isinstance(sample_seed, bool)
+            or sample_seed < 0
+        ):
+            raise ValidationError("sample_seed must be a non-negative integer")
         deadline_s = payload.get("deadline_s", self.config.default_deadline_s)
-        if not isinstance(deadline_s, (int, float)) or deadline_s <= 0:
-            raise ValidationError("deadline_s must be a positive number")
+        if (
+            not isinstance(deadline_s, (int, float))
+            or isinstance(deadline_s, bool)
+            or not 0 < deadline_s < math.inf
+        ):
+            raise ValidationError("deadline_s must be a positive, finite number")
         fingerprint = probe_fingerprint(
             model_key, probe, n_samples=n_samples, sample_seed=sample_seed
         )
@@ -401,12 +378,7 @@ class PredictionService:
         loop = asyncio.get_running_loop()
         for model_key, requests in groups.items():
             t0 = loop.time()
-            with obs.span(
-                "serving.batch",
-                model=model_key,
-                n_requests=len(requests),
-                plane=self.config.plane,
-            ):
+            with obs.span("serving.batch", model=model_key, n_requests=len(requests)):
                 try:
                     answered = await loop.run_in_executor(
                         self._executor, self._compute_group, model_key, requests
@@ -446,24 +418,11 @@ class PredictionService:
         bit-identical regardless of how requests were batched.
         """
         predictor = self.registry.load(model_key)
-        if self.config.plane == "pool":
-            live = [r for r in requests if not r.future.done()]
-            encoded = self._pool.map(
-                _pool_predict_task,
-                [
-                    (str(self.registry.root), model_key, _encode_for_pool(r.probe))
-                    for r in live
-                ],
-            )
-            computed = [(r, _decode_pool_vector(text)) for r, text in zip(live, encoded)]
-        else:
-            computed = [
-                (r, predictor.predict_vector(r.probe))
-                for r in requests
-                if not r.future.done()
-            ]
         answered = []
-        for request, vector in computed:
+        for request in requests:
+            if request.future.done():
+                continue
+            vector = predictor.predict_vector(request.probe)
             body = ok(
                 model_key=model_key,
                 representation=type(predictor.representation).__name__,
@@ -478,24 +437,3 @@ class PredictionService:
                 body["samples"] = encode_array(draws)
             answered.append((request, body))
         return answered
-
-
-def _encode_for_pool(probe) -> dict:
-    """Probe wire form for pool dispatch (module-level for clarity)."""
-    from .protocol import encode_probe
-
-    return encode_probe(probe)
-
-
-def _decode_pool_vector(text: str) -> np.ndarray:
-    """Decode a base64 vector returned by the pool task."""
-    from .protocol import decode_array
-
-    return decode_array(text)
-
-
-def _pool_predict_task(item):
-    """Module-level alias so pool dispatch stays picklable (CONC001)."""
-    from ._workers import predict_task
-
-    return predict_task(item)

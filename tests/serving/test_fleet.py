@@ -34,7 +34,12 @@ from repro.serving.fleet import (
     predict_fleet_p99,
     samples_to_campaign,
 )
-from repro.serving.protocol import decode_array, encode_campaign, predict_request
+from repro.serving.protocol import (
+    MAX_SAMPLES,
+    decode_array,
+    encode_campaign,
+    predict_request,
+)
 
 from .conftest import ROSTER
 
@@ -115,6 +120,26 @@ class TestBitIdentity:
             # and the link is still healthy for the next request
             assert _predict(client, "uc1", probe)["status"] == 200
 
+    def test_over_cap_samples_answer_400_and_keep_the_shard_link(
+        self, fleet_store, intel_small
+    ):
+        """A request over ``MAX_SAMPLES`` is refused before it is computed.
+
+        An uncapped 7,000,000-draw reply (75 MB) would overrun the
+        router's 64 MiB line limit and drop the only shard link for good,
+        so every later predict would answer 503.
+        """
+        root, _ = fleet_store
+        probe = intel_small["npb/is"].subset(range(6))
+        with FleetHandle(root, 1, admission_config=LENIENT) as handle:
+            with handle.client() as client:
+                reply = _predict(
+                    client, "uc1", probe, n_samples=MAX_SAMPLES + 1, sample_seed=1
+                )
+                assert reply["status"] == 400, reply
+                assert "n_samples" in reply["error"]
+                assert _predict(client, "uc1", probe)["status"] == 200
+
 
 class TestRoutingAndFleetOp:
     def test_models_route_to_their_mapped_shards(self, fleet, fleet_store, intel_small):
@@ -175,7 +200,7 @@ class TestDeterministicShedding:
         probe = intel_small["npb/cg"].subset(range(6))
         ticks = iter(0.5 * i for i in range(1000))
         gate = KingmanAdmission(
-            AdmissionConfig(min_samples=2, cs2_estimator="moments"),
+            AdmissionConfig(min_samples=2),
             clock=lambda: next(ticks),
         )
         for _ in range(4):

@@ -13,13 +13,8 @@ import math
 import pytest
 
 from repro.errors import ValidationError
-from repro.serving.fleet import (
-    AdmissionConfig,
-    KingmanAdmission,
-    cs2_from_moments,
-    cs2_from_percentiles,
-)
-from repro.serving.fleet.admission import Z99
+from repro.serving.fleet import AdmissionConfig, KingmanAdmission
+from repro.stats.lognormal import Z99, cs2_from_moments, cs2_from_percentiles
 
 
 class FakeClock:
@@ -69,8 +64,6 @@ class TestAdmissionConfig:
             dict(rho_max=0.0),
             dict(rho_max=1.0),
             dict(min_samples=1),
-            dict(servers=0),
-            dict(cs2_estimator="gamma"),
         ):
             with pytest.raises(ValidationError):
                 AdmissionConfig(**bad)
@@ -90,10 +83,7 @@ class TestAdmissionConfig:
 
 class TestKingmanAdmission:
     def _gate(self, step_s: float, **overrides) -> KingmanAdmission:
-        defaults = dict(
-            window=16, min_samples=4, knee=4.0, rho_max=0.95,
-            cs2_estimator="moments",
-        )
+        defaults = dict(window=16, min_samples=4, knee=4.0, rho_max=0.95)
         defaults.update(overrides)
         return KingmanAdmission(
             AdmissionConfig(**defaults), clock=FakeClock(step_s)

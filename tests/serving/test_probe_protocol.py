@@ -16,7 +16,6 @@ import pytest
 from repro.core.sketch import SampleProbe, SketchProbe
 from repro.errors import ValidationError
 from repro.serving import ModelRegistry, ServerHandle, ServingClient
-from repro.serving._workers import predict_task
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
     decode_array,
@@ -70,11 +69,14 @@ class TestWireEncoding:
             assert np.array_equal(a.values, b.values)
             assert a.n_runs == b.n_runs
 
-    def test_decode_rejects_unknown_kind(self):
+    def test_decode_rejects_unknown_kind(self, probe_campaign):
         with pytest.raises(ValidationError):
             decode_probe({"probe_kind": "telepathy"})
         with pytest.raises(ValidationError):
             decode_probe([1, 2, 3])
+        # A bare encoded campaign is no probe payload.
+        with pytest.raises(ValidationError):
+            decode_probe(encode_campaign(probe_campaign))
 
     def test_predict_request_shape(self, sketch_probe):
         body = predict_request("uc1", sketch_probe, n_samples=16, sample_seed=3)
@@ -170,18 +172,3 @@ class TestServerCompat:
         assert draws.size == 32
         # Same request, same seed: draws are deterministic.
         assert np.array_equal(draws, decode_array(r2["samples"]))
-
-
-class TestPoolPlane:
-    def test_predict_task_decodes_probe_payloads(
-        self, registry, few_runs_predictor, probe_campaign, sketch_probe
-    ):
-        key = registry.resolve("uc1")
-        root = str(registry.root)
-        out = decode_array(predict_task((root, key, encode_probe(sketch_probe))))
-        assert np.array_equal(out, few_runs_predictor.predict_vector(sketch_probe))
-        out = decode_array(predict_task((root, key, encode_probe(probe_campaign))))
-        assert np.array_equal(out, few_runs_predictor.predict_vector(probe_campaign))
-        # A bare encoded campaign is no probe payload.
-        with pytest.raises(ValidationError):
-            predict_task((root, key, encode_campaign(probe_campaign)))

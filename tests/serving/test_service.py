@@ -1,10 +1,10 @@
 """Integration tests for the micro-batching service and TCP server.
 
 The contract under test: serving never changes an output bit.
-Concurrent clients, batched execution, the response cache, and the pool
-plane must all return exactly what a direct ``predict_vector`` call
-returns; capacity problems surface as 429/504 responses, never as
-wrong answers.
+Concurrent clients, batched execution and the response cache must all
+return exactly what a direct ``predict_vector`` call returns; capacity
+problems surface as 429/504 responses and malformed fields as 400s,
+never as wrong answers or as failures of other requests.
 """
 
 from __future__ import annotations
@@ -26,8 +26,11 @@ from repro.serving import (
     ServerHandle,
     ServingClient,
     ServingConfig,
+    serve,
 )
-from repro.serving.protocol import decode_array, predict_request
+from repro.serving.fleet import AdmissionConfig
+from repro.serving.protocol import MAX_SAMPLES, decode_array, encode_array, ok, predict_request
+from repro.serving.server import _MAX_LINE_BYTES
 
 from .conftest import ROSTER
 
@@ -72,43 +75,37 @@ class TestServingConfig:
     def test_rejects_bad_values(self):
         for bad in (
             dict(max_batch=0),
-            dict(batch_window_s=-1.0),
             dict(queue_limit=0),
             dict(cache_size=0),
             dict(default_deadline_s=0.0),
-            dict(plane="gpu"),
-            dict(n_workers=0),
         ):
             with pytest.raises(ValidationError):
                 ServingConfig(**bad)
 
-    def test_batch_window_s_is_deprecated_and_ignored(
-        self, registry, few_runs_predictor, intel_small
-    ):
-        """A set window warns once and no longer holds a lone request.
-
-        A 10 s window used to keep a lone request waiting for followers
-        past the 5 s default deadline (504); it is now answered at once.
-        """
-        assert ServingConfig().batch_window_s is None
-        with pytest.warns(DeprecationWarning, match="batch_window_s") as record:
-            config = ServingConfig(cache_enabled=False, batch_window_s=10.0)
-        assert len(record) == 1
-        probe = intel_small["npb/cg"].subset(range(6))
-
-        async def scenario():
-            service = PredictionService(registry, config)
-            await service.start()
-            try:
-                return await service.submit(_predict_payload(probe))
-            finally:
-                await service.close()
-
-        reply = asyncio.run(scenario())
-        assert reply["status"] == 200, reply
-        assert np.array_equal(
-            np.asarray(reply["vector"]), few_runs_predictor.predict_vector(probe)
-        )
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            ("ServingConfig", "batch_window_s"),
+            ("ServingConfig", "plane"),
+            ("ServingConfig", "n_workers"),
+            ("AdmissionConfig", "servers"),
+            ("AdmissionConfig", "cs2_estimator"),
+            ("PredictionService", "pool"),
+            ("ServerHandle", "pool"),
+            ("serve", "pool"),
+        ],
+    )
+    def test_removed_names_raise_type_error(self, registry, owner, name):
+        """Names removed in 4.0.0 fail loudly, never as a silent no-op."""
+        build = {
+            "ServingConfig": ServingConfig,
+            "AdmissionConfig": AdmissionConfig,
+            "PredictionService": lambda **kw: PredictionService(registry, **kw),
+            "ServerHandle": lambda **kw: ServerHandle(registry, **kw),
+            "serve": lambda **kw: serve(registry, **kw),
+        }[owner]
+        with pytest.raises(TypeError, match=name):
+            build(**{name: None})
 
 
 class TestServedBitIdentity:
@@ -215,17 +212,6 @@ class TestServedBitIdentity:
                 with ServingClient("127.0.0.1", server.port) as client:
                     replies[flag] = client.request(_predict_payload(probe))
         assert replies[True]["vector"] == replies[False]["vector"]
-
-    def test_pool_plane_matches_thread_plane(self, registry, intel_small):
-        probe = intel_small["npb/bt"].subset(range(6))
-        replies = {}
-        for plane in ("thread", "pool"):
-            config = ServingConfig(plane=plane, n_workers=2, cache_enabled=False)
-            with ServerHandle(registry, config) as server:
-                with ServingClient("127.0.0.1", server.port) as client:
-                    replies[plane] = client.request(_predict_payload(probe))
-        assert replies["thread"]["status"] == replies["pool"]["status"] == 200
-        assert replies["thread"]["vector"] == replies["pool"]["vector"]
 
 
 class TestAdmissionAndDeadlines:
@@ -446,6 +432,70 @@ class TestProtocolEdges:
                 c = client.request(_predict_payload(probe, n_samples=64, sample_seed=6))
         assert np.array_equal(decode_array(a["samples"]), decode_array(b["samples"]))
         assert not np.array_equal(decode_array(a["samples"]), decode_array(c["samples"]))
+
+
+class TestFieldValidation:
+    """Bad ``n_samples``/``sample_seed``/``deadline_s`` answer 400 at parse.
+
+    Let through, each value below would fail inside the batch (a 500 for
+    every batch-mate), break the deadline (NaN expires at once, infinity
+    disables it) or be read as 1 (a boolean).
+    """
+
+    @staticmethod
+    def _submit_all(registry, payloads):
+        async def scenario():
+            service = PredictionService(registry, ServingConfig(cache_enabled=False))
+            await service.start()
+            try:
+                # One gather: every submit enqueues before the batch loop runs.
+                return await asyncio.gather(*(service.submit(p) for p in payloads))
+            finally:
+                await service.close()
+
+        return asyncio.run(scenario())
+
+    def test_bad_request_fails_alone_not_its_batch_mates(
+        self, registry, few_runs_predictor, intel_small
+    ):
+        probes = [intel_small[b].subset(range(6)) for b in ROSTER]
+        payloads = [
+            _predict_payload(p, n_samples=8, sample_seed=i) for i, p in enumerate(probes)
+        ]
+        payloads[2]["sample_seed"] = -1
+        replies = self._submit_all(registry, payloads)
+        assert [r["status"] for r in replies] == [200, 200, 400, 200], replies
+        assert "sample_seed" in replies[2]["error"]
+        for i in (0, 1, 3):
+            assert np.array_equal(
+                np.asarray(replies[i]["vector"]),
+                few_runs_predictor.predict_vector(probes[i]),
+            )
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_samples", True),
+            ("n_samples", MAX_SAMPLES + 1),
+            ("sample_seed", -1),
+            ("sample_seed", True),
+            ("deadline_s", float("nan")),
+            ("deadline_s", float("inf")),
+            ("deadline_s", True),
+        ],
+    )
+    def test_each_bad_field_value_is_400(self, registry, intel_small, name, value):
+        payload = _predict_payload(
+            intel_small["npb/cg"].subset(range(6)), n_samples=4, sample_seed=1
+        )
+        payload[name] = value
+        (reply,) = self._submit_all(registry, [payload])
+        assert reply["status"] == 400, reply
+        assert name in reply["error"]
+
+    def test_max_samples_reply_stays_well_under_the_line_limit(self):
+        line = json.dumps(ok(samples=encode_array(np.zeros(MAX_SAMPLES)))).encode()
+        assert len(line) < _MAX_LINE_BYTES // 4
 
 
 class TestObservability:

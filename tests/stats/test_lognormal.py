@@ -17,11 +17,17 @@ from repro.serving.fleet import admission
 
 
 class TestAdmissionEquivalence:
-    def test_admission_reexports_shared_functions(self):
-        # Identity, not equality: the fleet must call the shared code.
-        assert admission.cs2_from_percentiles is ln.cs2_from_percentiles
-        assert admission.cs2_from_moments is ln.cs2_from_moments
-        assert admission.Z99 is ln.Z99
+    def test_gate_cs2_is_the_shared_percentile_formula(self):
+        # Bit-equal to the shared closed form on the window's p50/p99:
+        # the gate must use this code, not a copy of it.
+        gate = admission.KingmanAdmission(admission.AdmissionConfig(min_samples=2))
+        times = [0.001 * (1 + k % 7) ** 1.5 for k in range(64)]
+        for t in times:
+            gate.observe(t)
+        p50, p99 = np.percentile(times, 50), np.percentile(times, 99)
+        cs2 = gate.snapshot().cs2
+        assert cs2 > 0.0
+        assert cs2 == ln.cs2_from_percentiles(float(p50), float(p99))
 
     def test_z99_matches_normal_quantile(self):
         from scipy.special import ndtri

@@ -156,5 +156,5 @@ class TestStableSurface:
             assert name in repro.__all__
             assert hasattr(repro, name)
 
-    def test_version_is_v3(self):
-        assert repro.__version__.startswith("3.")
+    def test_version_is_v4(self):
+        assert repro.__version__.startswith("4.")
