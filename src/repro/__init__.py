@@ -18,7 +18,7 @@ Package map
 -----------
 * :mod:`repro.core` — prediction pipelines (the paper's contribution);
 * :mod:`repro.stats` — moments, KDE, KS, Pearson system, MaxEnt;
-* :mod:`repro.ml` — kNN / random forest / gradient boosting, CV splitters;
+* :mod:`repro.ml` — kNN / random forest / gradient boosting, scalers;
 * :mod:`repro.simbench` — the simulated benchmarks + systems substrate;
 * :mod:`repro.data` — campaign containers, metric catalogs, mini-table;
 * :mod:`repro.experiments` — per-figure/table reproduction runners;

@@ -39,12 +39,6 @@ ALLOWLIST: frozenset[str] = frozenset(
         "repro/core/representations.py:PearsonRndRepresentation.reconstruct",
         "repro/core/representations.py:PyMaxEntRepresentation.reconstruct",
         "repro/ml/knn.py:KNNRegressor.fit",
-        "repro/ml/model_selection.py:GroupKFold.get_n_splits",
-        "repro/ml/model_selection.py:GroupKFold.split",
-        "repro/ml/model_selection.py:KFold.get_n_splits",
-        "repro/ml/model_selection.py:KFold.split",
-        "repro/ml/model_selection.py:LeaveOneGroupOut.get_n_splits",
-        "repro/ml/model_selection.py:LeaveOneGroupOut.split",
         "repro/ml/scaling.py:RobustScaler.fit",
         "repro/ml/scaling.py:StandardScaler.fit",
         "repro/simbench/variability.py:RunDraws.n_runs",

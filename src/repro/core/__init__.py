@@ -17,7 +17,7 @@ from .evaluation import (
     evaluate_few_runs,
     summarize_ks,
 )
-from .features import FeatureConfig, feature_names, probe_features, profile_features
+from .features import FeatureConfig, feature_names, profile_features
 from .predictors import (
     CrossSystemPredictor,
     FewRunsPredictor,
@@ -55,7 +55,6 @@ __all__ = [
     "summarize_ks",
     "FeatureConfig",
     "feature_names",
-    "probe_features",
     "profile_features",
     "ASSUMPTIONS",
     "DEFAULT_SKETCH_LEVELS",

@@ -23,7 +23,7 @@ from ..data.dataset import RunCampaign
 from ..errors import ValidationError
 from ..stats.moments import moment_matrix
 
-__all__ = ["FeatureConfig", "profile_features", "probe_features", "feature_names"]
+__all__ = ["FeatureConfig", "profile_features", "feature_names"]
 
 _MOMENT_SUFFIXES = ("mean", "std", "skew", "kurt")
 
@@ -67,24 +67,6 @@ def profile_features(
     if not cfg.include_higher_moments:
         moments = moments[:, :1]
     return moments.reshape(-1)
-
-
-def probe_features(
-    probe, config: FeatureConfig | None = None, *, assumption: str | None = None
-) -> np.ndarray:
-    """Feature vector of any :data:`~repro.core.sketch.Probe` input.
-
-    The probe-polymorphic face of :func:`profile_features`: raw
-    campaigns and :class:`~repro.core.sketch.SampleProbe` wrappers go
-    through the historical sample path bit for bit, while
-    :class:`~repro.core.sketch.SketchProbe` inputs recover the same
-    feature layout from percentiles under the resolved *assumption*.
-    """
-    if isinstance(probe, RunCampaign):
-        return profile_features(probe, config)
-    from .sketch import as_probe
-
-    return as_probe(probe).features(config, assumption=assumption)
 
 
 def feature_names(

@@ -29,12 +29,13 @@ from ..errors import NotFittedError, ValidationError
 from ..ml.base import Regressor
 from ..ml.knn import KNNRegressor
 from ..ml.scaling import RobustScaler
-from .features import FeatureConfig, profile_features
+from .features import FeatureConfig
 from .representations import (
     DistributionRepresentation,
     PearsonRndRepresentation,
     ReconstructedDistribution,
 )
+from .sketch import as_probe
 
 __all__ = [
     "FewRunsPredictor",
@@ -201,15 +202,10 @@ class FewRunsPredictor:
         features under this predictor's ``assumption``.
         """
         self._check_fitted()
-        if isinstance(probe, RunCampaign):
-            x = profile_features(probe, self.feature_config)[None, :]
-        else:
-            from .sketch import as_probe
-
-            x = as_probe(probe).features(
-                self.feature_config,
-                assumption=getattr(self, "assumption", "lognormal"),
-            )[None, :]
+        x = as_probe(probe).features(
+            self.feature_config,
+            assumption=getattr(self, "assumption", "lognormal"),
+        )[None, :]
         return self.model_.predict(self.scaler_.transform(x))[0]
 
     def predict_distribution(self, probe) -> ReconstructedDistribution:
@@ -299,25 +295,13 @@ class CrossSystemPredictor:
         """
         self._check_fitted()
         assumption = getattr(self, "assumption", "lognormal")
-        if isinstance(probe, RunCampaign):
-            x = np.concatenate(
-                [
-                    profile_features(probe, self.feature_config),
-                    self.representation.encode(probe.relative_times()),
-                ]
-            )[None, :]
-        else:
-            from .sketch import as_probe
-
-            p = as_probe(probe)
-            x = np.concatenate(
-                [
-                    p.features(self.feature_config, assumption=assumption),
-                    p.encode_distribution(
-                        self.representation, assumption=assumption
-                    ),
-                ]
-            )[None, :]
+        p = as_probe(probe)
+        x = np.concatenate(
+            [
+                p.features(self.feature_config, assumption=assumption),
+                p.encode_distribution(self.representation, assumption=assumption),
+            ]
+        )[None, :]
         return self.model_.predict(self.scaler_.transform(x))[0]
 
     def predict_distribution(self, probe) -> ReconstructedDistribution:

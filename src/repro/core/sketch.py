@@ -100,37 +100,33 @@ def _piecewise_linear_moments(levels: np.ndarray, values: np.ndarray) -> MomentV
     interpolates ``(levels, values)`` and is constant beyond the first
     and last level (the same reconstruction
     :class:`~repro.core.quantile_representation.QuantileRepresentation`
-    decodes to).  Raw moments ``E[X^k] = ∫₀¹ Q(u)^k du`` integrate in
-    closed form per segment, so no draws and no RNG are involved.
+    decodes to).  Raw moments ``E[Y^k] = ∫₀¹ (Q(u) - Q(0))^k du`` of the
+    values shifted to start at zero integrate in closed form per segment,
+    so no draws and no RNG are involved.  The shift keeps a tight sketch
+    far from zero from losing its spread to cancellation when the
+    central moments are formed.
     """
     u = np.concatenate([[0.0], levels, [1.0]])
-    v = np.concatenate([[values[0]], values, [values[-1]]])
+    v = np.concatenate([[values[0]], values, [values[-1]]]) - values[0]
     du = np.diff(u)
     v0, v1 = v[:-1], v[1:]
-    dv = v1 - v0
     raw = np.zeros(4, dtype=np.float64)
-    # Segments where Q is (nearly) constant integrate as v0^k * du; the
-    # rest use the antiderivative of a linear function raised to k.
-    flat = np.abs(dv) < 1e-12 * np.maximum(np.abs(v0), 1.0)
     for k in range(1, 5):
-        seg = np.where(
-            flat,
-            v0**k * du,
-            (v1 ** (k + 1) - v0 ** (k + 1))
-            / ((k + 1) * np.where(flat, 1.0, dv))
-            * du,
-        )
+        # ∫ of a linear segment raised to k, written without dividing by
+        # its rise so flat segments need no special case.
+        seg = sum(v0**j * v1 ** (k - j) for j in range(k + 1)) / (k + 1) * du
         raw[k - 1] = float(seg.sum())
     e1, e2, e3, e4 = raw
+    mean = float(values[0] + e1)
     m2 = e2 - e1 * e1
     m3 = e3 - 3.0 * e1 * e2 + 2.0 * e1**3
     m4 = e4 - 4.0 * e1 * e3 + 6.0 * e1 * e1 * e2 - 3.0 * e1**4
     if m2 <= 0.0:
-        return MomentVector(float(e1), 0.0, 0.0, 3.0)
+        return MomentVector(mean, 0.0, 0.0, 3.0)
     std = float(np.sqrt(m2))
     skew = float(m3 / m2**1.5)
     kurt = float(m4 / (m2 * m2))
-    return MomentVector(*nearest_feasible(float(e1), std, skew, kurt))
+    return MomentVector(*nearest_feasible(mean, std, skew, kurt))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from .campaign_cache import CampaignCache, campaign_set_key
 from .catalogs import AMD_METRICS, INTEL_METRICS, metric_catalog
-from .dataset import CampaignStore, RunCampaign
+from .dataset import RunCampaign
 from .table import ColumnTable
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "metric_catalog",
     "CampaignCache",
     "campaign_set_key",
-    "CampaignStore",
     "RunCampaign",
     "ColumnTable",
 ]

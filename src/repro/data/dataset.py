@@ -1,24 +1,21 @@
-"""Run-campaign containers and persistence.
+"""Run-campaign container.
 
 A *campaign* is the measured record the prediction pipelines consume: for
 one (benchmark, system) pair, the runtimes of many repeated executions and
-the per-run profiling-metric matrix.  Campaigns serialize to ``.npz`` so
-expensive simulated measurement sweeps can be cached on disk, mirroring
-how the paper's authors stored their thousand-run datasets.
+the per-run profiling-metric matrix.  Measured campaign sets persist on
+disk through :class:`~repro.data.campaign_cache.CampaignCache`.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .._validation import as_float_array
 from ..errors import ValidationError
 
-__all__ = ["RunCampaign", "CampaignStore"]
+__all__ = ["RunCampaign"]
 
 
 @dataclass(frozen=True)
@@ -91,59 +88,3 @@ class RunCampaign:
         if n > self.n_runs:
             raise ValidationError(f"cannot sample {n} of {self.n_runs} runs")
         return self.subset(rng.choice(self.n_runs, size=n, replace=False))
-
-
-class CampaignStore:
-    """Directory-backed cache of campaigns (one ``.npz`` per pair)."""
-
-    def __init__(self, root) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, benchmark: str, system: str) -> Path:
-        safe = benchmark.replace("/", "__")
-        return self.root / f"{system}__{safe}.npz"
-
-    def save(self, campaign: RunCampaign) -> Path:
-        """Persist a campaign; returns the file path."""
-        path = self._path(campaign.benchmark, campaign.system)
-        np.savez_compressed(
-            path,
-            runtimes=campaign.runtimes,
-            counters=campaign.counters,
-            meta=json.dumps(
-                {
-                    "benchmark": campaign.benchmark,
-                    "system": campaign.system,
-                    "metric_names": list(campaign.metric_names),
-                }
-            ),
-        )
-        return path
-
-    def load(self, benchmark: str, system: str) -> RunCampaign:
-        """Load a previously saved campaign."""
-        path = self._path(benchmark, system)
-        if not path.exists():
-            raise FileNotFoundError(f"no cached campaign at {path}")
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            return RunCampaign(
-                meta["benchmark"],
-                meta["system"],
-                data["runtimes"],
-                data["counters"],
-                tuple(meta["metric_names"]),
-            )
-
-    def has(self, benchmark: str, system: str) -> bool:
-        """Whether a cached campaign exists."""
-        return self._path(benchmark, system).exists()
-
-    def list_campaigns(self) -> list[tuple[str, str]]:
-        """All (benchmark, system) pairs in the store."""
-        out = []
-        for p in sorted(self.root.glob("*.npz")):
-            system, bench = p.stem.split("__", 1)
-            out.append((bench.replace("__", "/"), system))
-        return out

@@ -8,10 +8,12 @@ Regenerates the paper's figures/tables outside pytest.  Examples::
     python -m repro.experiments fig4 --trace results/trace_fig4.jsonl
 
 Each experiment prints its terminal rendering and exports its series to
-the results directory (CSV/JSON).  ``--trace PATH`` (or the
-``REPRO_TRACE`` environment variable) additionally enables
-:mod:`repro.obs` and writes one JSONL observability trace per
-experiment — summarize it with ``python tools/trace_report.py PATH``.
+the results directory (CSV/JSON).  Every experiment runs with
+:mod:`repro.obs` recording (bit-neutral; the grid figures print their
+``[stages]`` breakdown from its ``stage`` spans).  ``--trace PATH`` (or
+the ``REPRO_TRACE`` environment variable) additionally writes one JSONL
+observability trace per experiment — summarize it with
+``python tools/trace_report.py PATH``.
 """
 
 from __future__ import annotations
@@ -75,14 +77,20 @@ def run_fig3(cfg, out):
     export_table(figures.figure3(campaigns), "fig3_shape_summary", out)
 
 
+def _stages_line() -> str:
+    """``[stages]`` phase breakdown from the run's ``stage`` span totals."""
+    totals = obs.run_summary()["stages_s"]
+    parts = " | ".join(f"{name} {secs:.2f}s" for name, secs in totals.items())
+    return f"[stages] {parts}  (total {sum(totals.values()):.2f}s)"
+
+
 def run_fig4(cfg, out):
     """Fig. 4 — UC1 representation x model grid (with stage timing)."""
-    timer = reporting.StageTimer()
-    with timer.time("measure"):
+    with obs.span("stage", stage="measure"):
         campaigns = usecase1.measure_campaigns(cfg, "intel")
-    grid = usecase1.representation_model_grid(campaigns, cfg, timer=timer)
+    grid = usecase1.representation_model_grid(campaigns, cfg)
     print(reporting.grid_report(grid, title="Fig. 4 — UC1 representation x model"))
-    print(f"[stages] {timer.report()}")
+    print(_stages_line())
     export_table(grid, "fig4_uc1_grid", out)
 
 
@@ -146,12 +154,11 @@ def run_fig6(cfg, out):
 
 def run_fig7(cfg, out):
     """Fig. 7 — UC2 representation x model grid (with stage timing)."""
-    timer = reporting.StageTimer()
-    with timer.time("measure"):
+    with obs.span("stage", stage="measure"):
         amd, intel = usecase2.measure_both_systems(cfg)
-    grid = usecase2.representation_model_grid(amd, intel, cfg, timer=timer)
+    grid = usecase2.representation_model_grid(amd, intel, cfg)
     print(reporting.grid_report(grid, title="Fig. 7 — UC2 representation x model"))
-    print(f"[stages] {timer.report()}")
+    print(_stages_line())
     export_table(grid, "fig7_uc2_grid", out)
 
 
@@ -215,7 +222,7 @@ def main(argv=None) -> int:
         "--trace",
         default=os.environ.get("REPRO_TRACE") or None,
         metavar="PATH",
-        help="enable repro.obs and write a JSONL trace per experiment "
+        help="write a JSONL repro.obs trace per experiment "
         "(default: the REPRO_TRACE environment variable)",
     )
     args = parser.parse_args(argv)
@@ -232,18 +239,21 @@ def main(argv=None) -> int:
             return 2
         t0 = time.time()
         print(f"=== {name} (scale={args.scale}) ===")
-        if args.trace:
-            obs.enable()
-        fn(cfg, args.results_dir)
-        if args.trace:
-            out = reporting.write_run_trace(
-                _trace_path(args.trace, name, len(args.experiments)),
-                experiment=name,
-                scale=args.scale,
-                n_workers=args.workers,
-            )
+        obs.enable()
+        try:
+            fn(cfg, args.results_dir)
+            if args.trace:
+                out = obs.write_trace(
+                    _trace_path(args.trace, name, len(args.experiments)),
+                    meta={
+                        "experiment": name,
+                        "scale": args.scale,
+                        "n_workers": args.workers,
+                    },
+                )
+                print(f"[trace] wrote {out}")
+        finally:
             obs.disable()
-            print(f"[trace] wrote {out}")
         print(f"[{name} done in {time.time() - t0:.1f}s]\n")
     return 0
 

@@ -61,17 +61,15 @@ class ExperimentConfig:
     def resolve_grid_model(self, name: str):
         """(model instance, fold-vector memo key) for one grid cell.
 
-        Applies ``tree_method`` to registry models that expose the knob
-        and folds it into the memo key, so hist and exact fits of the
-        same model never share a cache entry.
+        Delegates to :class:`~repro.core.config.EvalConfig`, which applies
+        ``tree_method`` to registry models and folds it into the memo key
+        (``knn``, ``rf+hist``, ``xgboost+hist``), so hist and exact fits
+        of the same model never share a cache entry.
         """
-        from .. import registry
+        from ..core.config import EvalConfig
 
-        model = registry.model(name)
-        if self.tree_method != "exact" and hasattr(model, "tree_method"):
-            model.tree_method = self.tree_method
-            return model, f"{name}+{self.tree_method}"
-        return model, name
+        cfg = EvalConfig(model=name, tree_method=self.tree_method)
+        return cfg.resolve_model(), cfg.model_key()
 
     def scaled_down(self, *, n_benchmarks: int = 16, n_runs: int = 300) -> "ExperimentConfig":
         """A cheaper variant for tests/CI: fewer benchmarks and runs."""

@@ -8,19 +8,12 @@ violin renderings of the figures.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from pathlib import Path
-
 import numpy as np
 
-from .. import obs
 from ..data.table import ColumnTable
 from ..viz.ascii import violin_ascii
 
 __all__ = [
-    "StageTimer",
-    "write_run_trace",
     "grid_mean_ks",
     "best_by_representation",
     "best_by_model",
@@ -28,67 +21,6 @@ __all__ = [
     "sweep_report",
     "direction_report",
 ]
-
-
-class StageTimer:
-    """Accumulates wall time per pipeline stage.
-
-    The runners time four canonical stages — ``measure`` (campaign
-    simulation), ``featurize`` (design/feature-matrix construction),
-    ``fit`` (per-fold model refits) and ``score`` (KS evaluation) — so a
-    phase breakdown can be printed after every sweep and exported to the
-    perf record (``tools/bench_report.py``).
-
-    Each timed block also emits one ``stage`` span into :mod:`repro.obs`
-    (attribute ``stage=<name>``) covering exactly the same region, which
-    is what makes the trace's per-stage totals reconcile with this
-    timer's breakdown.
-    """
-
-    def __init__(self) -> None:
-        self.stages: dict[str, float] = {}
-
-    @contextmanager
-    def time(self, stage: str):
-        """Context manager adding the elapsed wall time to *stage*."""
-        with obs.span("stage", stage=stage):
-            t0 = time.perf_counter()
-            try:
-                yield self
-            finally:
-                self.add(stage, time.perf_counter() - t0)
-
-    def add(self, stage: str, seconds: float) -> None:
-        """Add *seconds* to a stage's accumulated total."""
-        self.stages[stage] = self.stages.get(stage, 0.0) + float(seconds)
-
-    @property
-    def total(self) -> float:
-        """Sum of all stage times."""
-        return float(sum(self.stages.values()))
-
-    def report(self) -> str:
-        """One-line phase breakdown, e.g. ``fit 9.80s | score 1.21s``."""
-        if not self.stages:
-            return "no stages timed"
-        parts = [f"{name} {secs:.2f}s" for name, secs in self.stages.items()]
-        return " | ".join(parts) + f"  (total {self.total:.2f}s)"
-
-    def as_dict(self) -> dict[str, float]:
-        """Stage -> seconds mapping (for JSON export)."""
-        return dict(self.stages)
-
-
-def write_run_trace(path, *, experiment: str, **meta) -> Path:
-    """Export the buffered observability run as one JSONL trace file.
-
-    Thin wrapper over :func:`repro.obs.write_trace` that stamps the
-    experiment id (plus any extra keyword metadata) into the trace's
-    ``meta`` record.  The experiment CLI calls this once per experiment
-    when ``--trace`` is given; ``tools/trace_report.py`` consumes the
-    output.
-    """
-    return obs.write_trace(path, meta={"experiment": experiment, **meta})
 
 
 def grid_mean_ks(grid: ColumnTable) -> ColumnTable:

@@ -31,7 +31,6 @@ from ..parallel.seeding import seed_for
 from ..parallel.worker_pool import WorkerPool
 from ..simbench.runner import measure_all
 from .config import ExperimentConfig, PAPER_CONFIG
-from .reporting import StageTimer
 
 __all__ = [
     "measure_campaigns",
@@ -58,19 +57,16 @@ def measure_campaigns(
 def representation_model_grid(
     campaigns: dict[str, RunCampaign],
     config: ExperimentConfig = PAPER_CONFIG,
-    *,
-    timer: StageTimer | None = None,
 ) -> ColumnTable:
     """Fig. 4 data: long-form table (representation, model, benchmark, ks).
 
     The featurization design is built once and shared by all nine cells
     (see :mod:`repro.core.engine`); representations with a common
-    encoding additionally share fold-model predictions.  Pass a
-    :class:`~repro.experiments.reporting.StageTimer` to collect the
-    featurize/fit/score phase breakdown.
+    encoding additionally share fold-model predictions.  The
+    featurize/fit/score phases run inside :mod:`repro.obs` ``stage``
+    spans, so an enabled run's ``obs.stage_totals`` is their breakdown.
     """
-    timer = timer if timer is not None else StageTimer()
-    with timer.time("featurize"):
+    with obs.span("stage", stage="featurize"):
         design = FewRunsDesign(
             campaigns,
             n_probe_runs=config.n_probe_runs,
@@ -84,7 +80,7 @@ def representation_model_grid(
             for model_name in config.models:
                 model, model_key = config.resolve_grid_model(model_name)
                 with obs.span("cell", representation=rep_name, model=model_name):
-                    with timer.time("fit"):
+                    with obs.span("stage", stage="fit"):
                         vectors = design.fold_vectors(
                             model,
                             rep,
@@ -92,7 +88,7 @@ def representation_model_grid(
                             n_workers=config.n_workers,
                             pool=pool,
                         )
-                    with timer.time("score"):
+                    with obs.span("stage", stage="score"):
                         tab = score_fold_vectors(
                             vectors, rep, design.measured, seed=config.eval_seed
                         )

@@ -28,7 +28,6 @@ from ..parallel.seeding import seed_for
 from ..parallel.worker_pool import WorkerPool
 from ..simbench.runner import measure_all
 from .config import ExperimentConfig, PAPER_CONFIG
-from .reporting import StageTimer
 
 __all__ = [
     "measure_both_systems",
@@ -64,20 +63,18 @@ def representation_model_grid(
     source: dict[str, RunCampaign],
     target: dict[str, RunCampaign],
     config: ExperimentConfig = PAPER_CONFIG,
-    *,
-    timer: StageTimer | None = None,
 ) -> ColumnTable:
     """Fig. 7 data: (representation, model, benchmark, ks), source->target.
 
     Shares one :class:`~repro.core.engine.CrossSystemDesign` across all
     nine cells; encoding-compatible representations also share fold
-    predictions.  Pass a timer for the phase breakdown.
+    predictions.  Phases are timed by ``stage`` spans, as in
+    :func:`repro.experiments.usecase1.representation_model_grid`.
     """
-    timer = timer if timer is not None else StageTimer()
     common = sorted(set(source) & set(target))
     if len(common) < 2:
         raise ValidationError("need at least two benchmarks common to both systems")
-    with timer.time("featurize"):
+    with obs.span("stage", stage="featurize"):
         design = CrossSystemDesign(
             {k: source[k] for k in common},
             {k: target[k] for k in common},
@@ -91,7 +88,7 @@ def representation_model_grid(
             for model_name in config.models:
                 model, model_key = config.resolve_grid_model(model_name)
                 with obs.span("cell", representation=rep_name, model=model_name):
-                    with timer.time("fit"):
+                    with obs.span("stage", stage="fit"):
                         vectors = design.fold_vectors(
                             model,
                             rep,
@@ -99,7 +96,7 @@ def representation_model_grid(
                             n_workers=config.n_workers,
                             pool=pool,
                         )
-                    with timer.time("score"):
+                    with obs.span("stage", stage="score"):
                         tab = score_fold_vectors(
                             vectors, rep, design.measured, seed=config.eval_seed
                         )

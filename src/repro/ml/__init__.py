@@ -10,8 +10,8 @@ compares (Section III-B3):
 * :class:`~repro.ml.boosting.GradientBoostingRegressor` — XGBoost-style
   regularized boosting;
 
-plus scalers, regression metrics, and the cross-validation splitters
-(including the paper's leave-one-group-out protocol).
+plus scalers and regression metrics.  The paper's leave-one-group-out
+protocol runs in :mod:`repro.core.engine` as per-benchmark row masks.
 """
 
 from .base import Regressor
@@ -19,7 +19,6 @@ from .boosting import GradientBoostingRegressor
 from .forest import RandomForestRegressor
 from .knn import KNNRegressor, pairwise_distances
 from .metrics import mean_absolute_error, mean_squared_error, r2_score
-from .model_selection import GroupKFold, KFold, LeaveOneGroupOut, cross_val_predict
 from .scaling import RobustScaler, StandardScaler
 from .tree import RegressionTree
 
@@ -32,10 +31,6 @@ __all__ = [
     "mean_absolute_error",
     "mean_squared_error",
     "r2_score",
-    "GroupKFold",
-    "KFold",
-    "LeaveOneGroupOut",
-    "cross_val_predict",
     "RobustScaler",
     "StandardScaler",
     "RegressionTree",

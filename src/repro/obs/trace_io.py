@@ -151,9 +151,10 @@ def validate_trace(records: list[dict]) -> list[str]:
 def stage_totals(records: list[dict]) -> dict[str, float]:
     """Per-stage wall-time totals from ``stage`` spans, in first-seen order.
 
-    These reconcile with the
-    :class:`~repro.experiments.reporting.StageTimer` breakdown because
-    the timer emits exactly one ``stage`` span per timed block.
+    The grid runners open one ``stage`` span (``featurize``, then ``fit``
+    and ``score`` per cell) around each phase, and the experiment CLI
+    and ``tools/bench_report.py`` add ``measure``; these totals are the
+    run's phase breakdown (``run_summary()["stages_s"]``).
     """
     totals: dict[str, float] = {}
     for record in records:

@@ -17,7 +17,7 @@ pipelines rely on.
 
 from .counters import CounterModel, anchor_trait
 from .latent import TRAIT_NAMES, AppCharacteristics
-from .runner import SimulatedPerfRunner, cached_measure_all, measure_all, run_campaign
+from .runner import cached_measure_all, measure_all, run_campaign
 from .suites import SUITES, benchmark_names, benchmark_roster, get_benchmark, suite_of
 from .systems import AMD_SYSTEM, INTEL_SYSTEM, SYSTEMS, SystemModel, get_system
 from .variability import RunDraws, RuntimeLaw
@@ -27,7 +27,6 @@ __all__ = [
     "anchor_trait",
     "TRAIT_NAMES",
     "AppCharacteristics",
-    "SimulatedPerfRunner",
     "measure_all",
     "cached_measure_all",
     "run_campaign",

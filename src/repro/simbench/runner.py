@@ -10,15 +10,12 @@ order, so sweeps can fan out across processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 
 from .. import obs
 from .._validation import check_positive_int
 from ..data.campaign_cache import CampaignCache
-from ..data.dataset import CampaignStore, RunCampaign
+from ..data.dataset import RunCampaign
 from ..parallel.pool import parallel_map
 from ..parallel.seeding import seed_for
 from .counters import CounterModel
@@ -28,7 +25,6 @@ from .systems import SystemModel, get_system
 from .variability import RuntimeLaw
 
 __all__ = [
-    "SimulatedPerfRunner",
     "run_campaign",
     "measure_all",
     "cached_measure_all",
@@ -142,72 +138,3 @@ def cached_measure_all(
             n_workers=n_workers,
         ),
     )
-
-
-@dataclass
-class SimulatedPerfRunner:
-    """Stateful runner with optional on-disk campaign caching.
-
-    Parameters
-    ----------
-    root_seed:
-        Seed fixing all campaigns this runner produces.
-    store:
-        Optional :class:`~repro.data.dataset.CampaignStore`; when set,
-        campaigns are loaded from / saved to disk transparently.
-    """
-
-    root_seed: int = _DEFAULT_ROOT_SEED
-    store: CampaignStore | None = None
-
-    def run(
-        self, benchmark: str, system: str, n_runs: int = 1000
-    ) -> RunCampaign:
-        """One campaign, cached when a store is attached."""
-        if self.store is not None and self.store.has(benchmark, system):
-            cached = self.store.load(benchmark, system)
-            if cached.n_runs >= n_runs:
-                return cached.subset(np.arange(n_runs))
-        campaign = run_campaign(benchmark, system, n_runs, root_seed=self.root_seed)
-        if self.store is not None:
-            self.store.save(campaign)
-        return campaign
-
-    def run_suite(
-        self,
-        system: str,
-        *,
-        benchmarks: tuple[str, ...] | None = None,
-        n_runs: int = 1000,
-        n_workers: int | None = None,
-    ) -> dict[str, RunCampaign]:
-        """All (or selected) benchmarks on one system."""
-        names = benchmarks if benchmarks is not None else benchmark_names()
-        if self.store is not None:
-            out: dict[str, RunCampaign] = {}
-            missing = []
-            for b in names:
-                if self.store.has(b, system):
-                    cached = self.store.load(b, system)
-                    if cached.n_runs >= n_runs:
-                        out[b] = cached.subset(np.arange(n_runs))
-                        continue
-                missing.append(b)
-            fresh = measure_all(
-                system,
-                benchmarks=tuple(missing),
-                n_runs=n_runs,
-                root_seed=self.root_seed,
-                n_workers=n_workers,
-            ) if missing else {}
-            for c in fresh.values():
-                self.store.save(c)
-            out.update(fresh)
-            return {b: out[b] for b in names}
-        return measure_all(
-            system,
-            benchmarks=tuple(names),
-            n_runs=n_runs,
-            root_seed=self.root_seed,
-            n_workers=n_workers,
-        )

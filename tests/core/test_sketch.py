@@ -10,14 +10,18 @@ train-full / predict-sketch evaluation degrading accuracy only mildly.
 from __future__ import annotations
 
 import json
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import EvalConfig
 from repro.core.evaluation import evaluate_few_runs, summarize_ks
-from repro.core.features import FeatureConfig, probe_features, profile_features
+from repro.core.features import FeatureConfig, profile_features
 from repro.core.predictors import CrossSystemPredictor, FewRunsPredictor
 from repro.core.quantile_representation import QuantileRepresentation
 from repro.core.representations import HistogramRepresentation
@@ -32,6 +36,7 @@ from repro.core.sketch import (
     encode_from_sketch,
 )
 from repro.errors import ValidationError
+from repro.stats.moments import nearest_feasible
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +167,84 @@ class TestMomentRecovery:
         assert np.all(a > 0)
 
 
+def _exact_pearson_moments(levels, values):
+    """(mean, std, skew, kurt) of the piecewise-linear quantile function,
+    integrated in exact rational arithmetic (the reference for the
+    floating-point integrator)."""
+    u = [Fraction(0)] + [Fraction(float(x)) for x in levels] + [Fraction(1)]
+    v = [Fraction(float(x)) for x in (values[0], *values, values[-1])]
+    raw = [Fraction(0)] * 5
+    for i in range(len(u) - 1):
+        du, a, b = u[i + 1] - u[i], v[i], v[i + 1]
+        for k in range(1, 5):
+            raw[k] += du * sum(a**j * b ** (k - j) for j in range(k + 1)) / (k + 1)
+    e1 = raw[1]
+    m2 = raw[2] - e1**2
+    m3 = raw[3] - 3 * e1 * raw[2] + 2 * e1**3
+    m4 = raw[4] - 4 * e1 * raw[3] + 6 * e1**2 * raw[2] - 3 * e1**4
+    if m2 == 0:
+        return float(e1), 0.0, 0.0, 3.0
+    return (
+        float(e1),
+        math.sqrt(m2),
+        float(m3) / float(m2) ** 1.5,
+        float(m4 / (m2 * m2)),
+    )
+
+
+def _rel_err(got: float, exact: float) -> float:
+    return abs(got - exact) / abs(exact) if exact else abs(got)
+
+
+class TestPearsonMomentsExact:
+    """``moments("pearson")`` against exact integration of the same
+    quantile function: tight sketches far from zero must keep their
+    spread (no cancellation in the raw-to-central conversion)."""
+
+    @given(
+        log_c=st.floats(-3.0, 4.0),
+        log_r=st.floats(-8.0, 0.0),
+        u=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_reference(self, log_c, log_r, u):
+        c, r = 10.0**log_c, 10.0**log_r
+        values = c * (1.0 + r * np.sort(u))
+        got = QuantileSketch(DEFAULT_SKETCH_LEVELS, values, 10).moments("pearson")
+        exact = _exact_pearson_moments(DEFAULT_SKETCH_LEVELS, values)
+        assert _rel_err(got.mean, exact[0]) <= 1e-12
+        assert _rel_err(got.std, exact[1]) <= 1e-12
+        if nearest_feasible(*exact) == exact:
+            assert _rel_err(got.skew, exact[2]) <= 1e-12
+            assert _rel_err(got.kurt, exact[3]) <= 1e-12
+
+    def test_tight_log_rate_sketch(self, intel_campaigns):
+        # npb/bt, first 10 runs: metric 2's log rates sit near 21.94 with
+        # a spread under 0.01 (the raw-moment form read kurtosis 54.25).
+        probe = SketchProbe.from_campaign(intel_campaigns["npb/bt"].subset(range(10)))
+        sk = probe.rate_sketches[2]
+        log_values = np.log(sk.values)
+        got = sk.log_moments("pearson")
+        exact = _exact_pearson_moments(sk.levels, log_values)
+        assert exact[3] == pytest.approx(2.0445, abs=1e-4)
+        for g, e in zip(got.as_array(), exact):
+            assert _rel_err(float(g), e) <= 1e-12
+
+    def test_nearly_flat_sketch_keeps_its_tail(self):
+        # Flat at 1.0 up to p99 = 1.0000001: the raw-moment form read
+        # std 0; moments and log_moments must agree on the shape.
+        sk = QuantileSketch(DEFAULT_SKETCH_LEVELS, (1.0, 1.0, 1.0, 1.0000001), 10)
+        mv = sk.moments("pearson")
+        exact = _exact_pearson_moments(sk.levels, sk.values)
+        assert mv.std == pytest.approx(1.4978e-8, rel=1e-4)
+        for g, e in zip(mv.as_array(), exact):
+            assert _rel_err(float(g), e) <= 1e-12
+        log_mv = sk.log_moments("pearson")
+        assert mv.skew == pytest.approx(log_mv.skew, rel=1e-6)
+        assert mv.kurt == pytest.approx(log_mv.kurt, rel=1e-6)
+        assert (mv.skew, mv.kurt) == pytest.approx((5.3434, 31.2438), abs=1e-4)
+
+
 class TestEncodeFromSketch:
     def test_histogram_encoding_integrates_to_one(self, lognormal_samples):
         rep = HistogramRepresentation()
@@ -192,9 +275,6 @@ class TestProbes:
     def test_sample_probe_features_bit_identical(self, intel_campaigns):
         camp = next(iter(intel_campaigns.values()))
         cfg = FeatureConfig()
-        assert np.array_equal(
-            probe_features(camp, cfg), profile_features(camp, cfg)
-        )
         assert np.array_equal(
             SampleProbe(camp).features(cfg), profile_features(camp, cfg)
         )
@@ -251,6 +331,21 @@ class TestPredictorProbeAPI:
         vec = pred.predict_vector(SketchProbe.from_campaign(camp))
         assert np.all(np.isfinite(vec))
         assert vec.shape == pred.predict_vector(camp).shape
+
+    def test_campaign_and_sample_probe_predict_bitwise_equal(
+        self, intel_campaigns, amd_campaigns
+    ):
+        few = FewRunsPredictor(n_probe_runs=6, n_replicas=2).fit(intel_campaigns)
+        cross = CrossSystemPredictor(
+            representation=HistogramRepresentation(), n_replicas=2
+        ).fit(intel_campaigns, amd_campaigns)
+        for camp in intel_campaigns.values():
+            probe = camp.subset(range(6))
+            for pred in (few, cross):
+                assert (
+                    pred.predict_vector(probe).tobytes()
+                    == pred.predict_vector(SampleProbe(probe)).tobytes()
+                )
 
 
 class TestTrainFullPredictSketch:

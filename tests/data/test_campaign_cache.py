@@ -128,3 +128,17 @@ class TestGetOrMeasure:
             "intel", benchmarks=BENCHES, n_runs=50, root_seed=3, cache=cache
         )
         _equal_sets(again, campaigns)
+
+    def test_longer_cached_roster_does_not_serve_a_shorter_request(self, tmp_path):
+        # The run count seeds each campaign's stream, so a 10-run request
+        # must be simulated, never cut from a cached 40-run set.
+        cache = CampaignCache(tmp_path)
+        cached_measure_all(
+            "intel", benchmarks=BENCHES, n_runs=40, root_seed=3, cache=cache
+        )
+        short = cached_measure_all(
+            "intel", benchmarks=BENCHES, n_runs=10, root_seed=3, cache=cache
+        )
+        _equal_sets(
+            short, measure_all("intel", benchmarks=BENCHES, n_runs=10, root_seed=3)
+        )

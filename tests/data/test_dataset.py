@@ -1,9 +1,9 @@
-"""Tests for RunCampaign and CampaignStore."""
+"""Tests for RunCampaign."""
 
 import numpy as np
 import pytest
 
-from repro.data.dataset import CampaignStore, RunCampaign
+from repro.data.dataset import RunCampaign
 from repro.errors import ValidationError
 
 
@@ -53,27 +53,3 @@ class TestRunCampaign:
     def test_sample_too_many(self, rng):
         with pytest.raises(ValidationError):
             make_campaign(5).sample_runs(6, rng)
-
-
-class TestCampaignStore:
-    def test_save_load_roundtrip(self, tmp_path):
-        store = CampaignStore(tmp_path)
-        c = make_campaign()
-        store.save(c)
-        loaded = store.load("suite/bench", "intel")
-        assert loaded.benchmark == c.benchmark
-        assert loaded.metric_names == c.metric_names
-        assert np.array_equal(loaded.runtimes, c.runtimes)
-        assert np.array_equal(loaded.counters, c.counters)
-
-    def test_missing_raises(self, tmp_path):
-        store = CampaignStore(tmp_path)
-        with pytest.raises(FileNotFoundError):
-            store.load("nope/nope", "intel")
-
-    def test_has_and_list(self, tmp_path):
-        store = CampaignStore(tmp_path)
-        assert not store.has("suite/bench", "intel")
-        store.save(make_campaign())
-        assert store.has("suite/bench", "intel")
-        assert store.list_campaigns() == [("suite/bench", "intel")]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.experiments.__main__ import EXPERIMENTS, _config_for_scale, main
 
 
@@ -46,3 +47,14 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "npb" in out
         assert (tmp_path / "table1_roster.csv").exists()
+        assert not obs.enabled()
+
+    def test_failed_experiment_leaves_obs_disabled(self, monkeypatch, tmp_path):
+        def explode(cfg, out):
+            assert obs.enabled()  # every experiment runs with obs recording
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(EXPERIMENTS, "tables", explode)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["tables", "--results-dir", str(tmp_path)])
+        assert not obs.enabled()

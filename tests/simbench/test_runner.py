@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.dataset import CampaignStore
-from repro.simbench.runner import SimulatedPerfRunner, measure_all, run_campaign
+from repro.simbench.runner import measure_all, run_campaign
 
 
 class TestRunCampaign:
@@ -44,28 +43,3 @@ class TestMeasureAll:
         out = measure_all("intel", benchmarks=("npb/cg",), n_runs=25, n_workers=1)
         solo = run_campaign("npb/cg", "intel", 25)
         assert np.array_equal(out["npb/cg"].runtimes, solo.runtimes)
-
-
-class TestRunnerStore:
-    def test_cache_roundtrip(self, tmp_path):
-        store = CampaignStore(tmp_path)
-        runner = SimulatedPerfRunner(store=store)
-        c1 = runner.run("npb/cg", "intel", 30)
-        assert store.has("npb/cg", "intel")
-        c2 = runner.run("npb/cg", "intel", 30)
-        assert np.array_equal(c1.runtimes, c2.runtimes)
-
-    def test_cache_subsets_longer_campaigns(self, tmp_path):
-        store = CampaignStore(tmp_path)
-        runner = SimulatedPerfRunner(store=store)
-        big = runner.run("npb/cg", "intel", 40)
-        small = runner.run("npb/cg", "intel", 10)
-        assert np.array_equal(small.runtimes, big.runtimes[:10])
-
-    def test_run_suite_mixed_cache(self, tmp_path):
-        store = CampaignStore(tmp_path)
-        runner = SimulatedPerfRunner(store=store)
-        runner.run("npb/cg", "intel", 15)
-        out = runner.run_suite("intel", benchmarks=("npb/cg", "npb/bt"), n_runs=15, n_workers=1)
-        assert set(out) == {"npb/cg", "npb/bt"}
-        assert out["npb/cg"].n_runs == 15

@@ -18,8 +18,7 @@ Usage::
 
 ``REPRO_TREE_METHOD=hist`` runs the grid on the pre-binned histogram
 kernel; the record then also carries an ``exact_reference`` block (the
-same grid re-run on the exact kernel, timed without instrumentation)
-and ``ks_drift_max_vs_exact`` — the largest per-(cell, benchmark)
+same grid re-run three times on the exact kernel, median timings) and ``ks_drift_max_vs_exact`` — the largest per-(cell, benchmark)
 KS difference between the two kernels.
 
 Every record also carries a ``probe_degradation`` block: the UC1/UC2
@@ -55,7 +54,6 @@ def run_grid() -> dict:
     import numpy as np
 
     from repro import obs
-    from repro.experiments.reporting import StageTimer, write_run_trace
     from repro.experiments.usecase1 import representation_model_grid
     from repro.parallel.pool import default_workers
 
@@ -70,18 +68,19 @@ def run_grid() -> dict:
     cfg = replace(cfg, n_workers=n_workers, tree_method=tree_method)
 
     obs.enable()
-    timer = StageTimer()
     t0 = time.perf_counter()
-    with timer.time("measure"):
+    with obs.span("stage", stage="measure"):
         campaigns = intel_campaigns()
-    grid = representation_model_grid(campaigns, cfg, timer=timer)
+    grid = representation_model_grid(campaigns, cfg)
     wall = time.perf_counter() - t0
 
-    trace_path = write_run_trace(
+    trace_path = obs.write_trace(
         RESULTS / "BENCH_trace.jsonl",
-        experiment="fig4_uc1_grid",
-        scale=os.environ["REPRO_BENCH_SCALE"],
-        n_workers=n_workers,
+        meta={
+            "experiment": "fig4_uc1_grid",
+            "scale": os.environ["REPRO_BENCH_SCALE"],
+            "n_workers": n_workers,
+        },
     )
     from repro.obs.trace_io import cell_walls, trace_records
 
@@ -99,7 +98,7 @@ def run_grid() -> dict:
         "n_runs": cfg.n_runs,
         "n_workers": n_workers,
         "tree_method": tree_method,
-        "stages_s": timer.as_dict(),
+        "stages_s": summary["stages_s"],
         "fit_breakdown_s": breakdown,
         "cell_walls_s": cells,
         "wall_s": wall,
@@ -120,13 +119,12 @@ def run_grid() -> dict:
         ref_ks = None
         for _ in range(3):
             obs.enable(fresh=True)
-            ref_timer = StageTimer()
             t_ref = time.perf_counter()
             ref_grid = representation_model_grid(
-                campaigns, replace(cfg, tree_method="exact"), timer=ref_timer
+                campaigns, replace(cfg, tree_method="exact")
             )
             ref_walls.append(time.perf_counter() - t_ref)
-            ref_fits.append(ref_timer.as_dict().get("fit"))
+            ref_fits.append(obs.run_summary()["stages_s"].get("fit"))
             ref_cell_runs.append(cell_walls(trace_records()))
             obs.disable()
             run_ks = np.asarray(ref_grid["ks"], dtype=np.float64)
@@ -153,10 +151,9 @@ def run_grid() -> dict:
         # worker-count-invariant and must match the serial phase bit for
         # bit.
         obs.enable()
-        pooled_timer = StageTimer()
         t_pool = time.perf_counter()
         pooled_grid = representation_model_grid(
-            campaigns, replace(cfg, n_workers=2), timer=pooled_timer
+            campaigns, replace(cfg, n_workers=2)
         )
         pooled_wall = time.perf_counter() - t_pool
         pooled_summary = obs.run_summary()
@@ -164,7 +161,7 @@ def run_grid() -> dict:
         pooled_ks = np.asarray(pooled_grid["ks"], dtype=np.float64)
         record["pooled"] = {
             "n_workers": 2,
-            "fit_s": pooled_timer.as_dict().get("fit"),
+            "fit_s": pooled_summary["stages_s"].get("fit"),
             "wall_s": pooled_wall,
             "ks_checksum": float(pooled_ks.sum()),
             "ks_matches_serial": bool(

@@ -5,7 +5,8 @@ Consumes a JSONL trace written by ``python -m repro.experiments --trace``
 or ``repro.obs.write_trace``, validates it against the documented schema
 (``docs/OBSERVABILITY.md``), and prints:
 
-* the per-stage wall-time breakdown (``stage`` spans, StageTimer-aligned);
+* the per-stage wall-time breakdown (``stage`` spans: measure, featurize,
+  fit, score);
 * the per-cell table (``cell`` spans — one grid cell per
   (representation, model) pair), compared against a baseline file when
   one is given, with cells whose wall time regressed beyond the
