@@ -13,10 +13,11 @@ additions:
 * a startup handshake: the freshly bound port travels up the
   :class:`~repro.parallel.procs.SpawnedProcess` pipe before the parent
   proceeds, so the router never races an unbound socket;
-* the sampler stack (``scipy.stats``) is loaded before the shard binds.
-  Its one-off import takes about a second; paid on the first sampling
-  request instead, the Kingman gate would read it as service time and
-  shed the requests behind it.
+* the sampler stack (``scipy.special``, the one module a request can
+  still import lazily) is loaded before the shard binds.  Its one-off
+  import takes about 0.2 s; paid on the first request that needs it
+  instead, the Kingman gate would read it as service time and shed the
+  requests behind it.
 
 Shards hydrate models from the **shared content-addressed store** — the
 parent fits and saves once, shards only read — so any shard can serve

@@ -69,16 +69,19 @@ async def _handle_connection(
 
     Requests on a connection run as concurrent tasks (so a slow predict
     does not block a ping behind it); a per-connection lock serializes
-    writes so responses never interleave mid-line.  Answer tasks are
-    registered in the server-wide *inflight* set so a draining server
-    can wait for pending responses to be written before sockets close.
+    writes so responses never interleave mid-line.  Each answer task is
+    held only until it finishes (a long-lived connection, such as the
+    fleet router's link to a shard, must not keep every task it ever
+    ran), and is registered in the server-wide *inflight* set so a
+    draining server can wait for pending responses to be written before
+    sockets close.
     Cancellation while blocked on ``readline`` means "drain": stop
     reading, but still flush every response already in flight.  A
     *dispatch* override lets the fleet router reuse this connection
     machinery with its own request handler.
     """
     write_lock = asyncio.Lock()
-    tasks: list[asyncio.Task] = []
+    tasks: set[asyncio.Task] = set()
     handle = dispatch if dispatch is not None else _handle_request
 
     async def answer(payload: dict, request_id) -> None:
@@ -91,6 +94,15 @@ async def _handle_connection(
         async with write_lock:
             writer.write(json.dumps(response).encode() + b"\n")
             await writer.drain()
+
+    def start_answer(payload: dict) -> None:
+        task = asyncio.get_running_loop().create_task(
+            answer(payload, payload.get("id"))
+        )
+        for owner in (tasks, inflight):
+            if owner is not None:
+                owner.add(task)
+                task.add_done_callback(owner.discard)
 
     try:
         while True:
@@ -112,13 +124,7 @@ async def _handle_connection(
             if not isinstance(payload, dict):
                 await answer_malformed(writer, write_lock)
                 continue
-            task = asyncio.get_running_loop().create_task(
-                answer(payload, payload.get("id"))
-            )
-            tasks.append(task)
-            if inflight is not None:
-                inflight.add(task)
-                task.add_done_callback(inflight.discard)
+            start_answer(payload)
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
     finally:

@@ -10,15 +10,22 @@ scratch:
 * classification of (skew, kurt) into Pearson types 0–VII using the same
   quadratic-discriminant logic as ``pearsrnd.m`` (unnormalized
   ``c0, c1, c2`` coefficients and ``kappa = c1^2 / (4 c0 c2)``);
-* moment-matched samplers for every type — closed-form scipy families for
-  types 0/I/II/III/V/VI/VII and a numerically exact inverse-CDF sampler
-  for type IV (via the ``x = lam + a*tan(theta)`` substitution that maps
-  the infinite support onto ``(-pi/2, pi/2)``).
+* moment-matched samplers for every type — closed-form families for
+  types 0/I/II/III/V/VI/VII (normal, beta, gamma, inverse gamma, beta
+  prime, Student t) and a numerically exact inverse-CDF sampler for
+  type IV (via the ``x = lam + a*tan(theta)`` substitution that maps the
+  infinite support onto ``(-pi/2, pi/2)``).
 
-``scipy.stats`` costs about a second and 65 MB to import, so it is
-imported inside the builders that return its families, not at module
-level: importing ``repro`` (or a serving process that never samples)
-does not pay for it.  :func:`load_sampler_stack` pays it up front.
+The closed-form families draw with the same ``numpy.random.Generator``
+methods, and compute (mean, variance) with the same arithmetic, as their
+``scipy.stats`` twins, and type VI solves its shapes with a port of the
+Brent routine behind ``scipy.optimize.brentq``: every draw is bit-equal to
+the scipy-built sampler's.  Building and sampling a distribution imports
+no ``scipy.stats`` (about a second and 65 MB) and no ``scipy.optimize``;
+only a type-V draw loads ``scipy.special``, which
+:func:`load_sampler_stack` imports up front.  ``pdf``/``cdf`` still
+evaluate through ``scipy.stats`` (imported on first use): only
+analytic-CDF scoring and plots call them.
 
 Every returned distribution matches the requested mean and standard
 deviation exactly (affine correction) and the requested skewness/kurtosis
@@ -28,8 +35,9 @@ up to the feasibility of its type family.
 from __future__ import annotations
 
 import importlib
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar, Protocol
 
 import numpy as np
 
@@ -92,63 +100,180 @@ def classify_pearson(skew: float, kurt: float) -> int:
 
 
 def load_sampler_stack() -> None:
-    """Import ``scipy.stats`` now instead of at the first sampler build.
+    """Import ``scipy.special`` now instead of at the first type-V draw.
 
     For a process that must not pay the one-off import on a request,
     e.g. a fleet shard whose admission gate would read the stall as
-    service time.
+    service time.  ``scipy.special`` is the one lazily imported module
+    a served request can reach (type-V draws, lognormal fits and CDFs).
     """
-    importlib.import_module("scipy.stats")
+    importlib.import_module("scipy.special")
 
 
 # ---------------------------------------------------------------------------
-# Per-type moment-matched constructions.  Each builder returns a scipy
-# frozen distribution whose skewness/kurtosis match the request; the caller
-# applies the final affine mean/std correction.
+# Standardized families.  Each draws with the Generator method its
+# ``scipy.stats`` twin's ``_rvs`` calls and returns (mean, var) with the
+# twin's ``stats("mv")`` arithmetic, so samples are bit-equal to the twin's.
+# Squares are written ``x * x``: scipy squares arrays, which numpy computes
+# as a product, while a scalar ``x**2`` can differ in the last bit.
 # ---------------------------------------------------------------------------
 
 
-def _build_normal():
-    """Standard normal (type 0, and the fallback at type boundaries)."""
-    from scipy import stats as sps
+class _Family(Protocol):
+    """What :class:`PearsonDistribution` needs of its standardized base."""
 
-    return sps.norm()
+    def rvs(self, size: int, rng: np.random.Generator) -> np.ndarray: ...
+
+    def stats_mv(self) -> tuple[float, float]: ...
+
+    def pdf(self, x) -> np.ndarray: ...
+
+    def cdf(self, x) -> np.ndarray: ...
 
 
-def _build_type2(kurt: float):
+class _ScipyTwin:
+    """``pdf``/``cdf`` through the ``scipy.stats`` family named ``scipy_name``.
+
+    The instance fields are its shape parameters, in ``scipy.stats`` order.
+    """
+
+    scipy_name: ClassVar[str]
+
+    def _twin(self):
+        from scipy import stats
+
+        return getattr(stats, self.scipy_name)(*vars(self).values())
+
+    def pdf(self, x) -> np.ndarray:
+        return self._twin().pdf(x)
+
+    def cdf(self, x) -> np.ndarray:
+        return self._twin().cdf(x)
+
+
+@dataclass(frozen=True)
+class _Normal(_ScipyTwin):
+    scipy_name = "norm"
+
+    def rvs(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_normal(size)
+
+    def stats_mv(self) -> tuple[float, float]:
+        return 0.0, 1.0
+
+    def cdf(self, x) -> np.ndarray:
+        from scipy.special import ndtr
+
+        return ndtr(x)
+
+
+@dataclass(frozen=True)
+class _Beta(_ScipyTwin):
+    a: float
+    b: float
+    scipy_name = "beta"
+
+    def rvs(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.beta(self.a, self.b, size)
+
+    def stats_mv(self) -> tuple[float, float]:
+        a, b = self.a, self.b
+        apb = a + b
+        return a / apb, a * b / ((apb * apb) * (apb + 1.0))
+
+
+@dataclass(frozen=True)
+class _StudentT(_ScipyTwin):
+    df: float
+    scipy_name = "t"
+
+    def rvs(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_t(self.df, size)
+
+    def stats_mv(self) -> tuple[float, float]:
+        return 0.0, self.df / (self.df - 2.0)
+
+
+@dataclass(frozen=True)
+class _Gamma(_ScipyTwin):
+    a: float
+    scipy_name = "gamma"
+
+    def rvs(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_gamma(self.a, size)
+
+    def stats_mv(self) -> tuple[float, float]:
+        return self.a, self.a
+
+
+@dataclass(frozen=True)
+class _InvGamma(_ScipyTwin):
+    a: float
+    scipy_name = "invgamma"
+
+    def rvs(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        # scipy has no dedicated sampler here: inverse CDF of a uniform.
+        from scipy.special import gammainccinv
+
+        return 1.0 / gammainccinv(self.a, rng.uniform(size=size))
+
+    def stats_mv(self) -> tuple[float, float]:
+        a = self.a
+        return 1.0 / (a - 1.0), 1.0 / ((a - 1.0) * (a - 1.0)) / (a - 2.0)
+
+
+@dataclass(frozen=True)
+class _BetaPrime(_ScipyTwin):
+    a: float
+    b: float
+    scipy_name = "betaprime"
+
+    def rvs(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        u1 = rng.standard_gamma(self.a, size)
+        u2 = rng.standard_gamma(self.b, size)
+        return u1 / u2
+
+    def stats_mv(self) -> tuple[float, float]:
+        # scipy's raw moments (a + i - 1) / (b - i), kept term for term.
+        a, b = self.a, self.b
+        mean = (a + 1.0 - 1.0) / (b - 1.0)
+        raw2 = mean * ((a + 2.0 - 1.0) / (b - 2.0))
+        return mean, raw2 - mean * mean
+
+
+# ---------------------------------------------------------------------------
+# Per-type moment-matched constructions.  Each ``_build_type*`` returns a
+# standardized family whose skewness/kurtosis match the request; the
+# caller applies the final affine mean/std correction.
+# ---------------------------------------------------------------------------
+
+
+def _build_type2(kurt: float) -> _Beta:
     """Symmetric beta on a symmetric interval (kurt < 3)."""
-    from scipy import stats as sps
-
     # Symmetric beta(alpha, alpha) has kurt = 3 - 6/(2*alpha + 3).
     alpha = (6.0 / (3.0 - kurt) - 3.0) / 2.0
     if alpha <= 0.0:
         raise ReconstructionError(
             f"type II needs kurt in (1, 3); alpha={alpha:.4g} from kurt={kurt:.4g}"
         )
-    return sps.beta(alpha, alpha)
+    return _Beta(alpha, alpha)
 
 
-def _build_type7(kurt: float):
+def _build_type7(kurt: float) -> _StudentT:
     """Student's t (symmetric, kurt > 3)."""
-    from scipy import stats as sps
-
     # t_nu has kurt = 3 + 6/(nu - 4) for nu > 4.
     nu = 4.0 + 6.0 / (kurt - 3.0)
-    return sps.t(nu)
+    return _StudentT(nu)
 
 
-def _build_type3(skew: float):
+def _build_type3(skew: float) -> _Gamma:
     """Gamma (possibly mirrored), on the line kurt = 1.5*skew**2 + 3."""
-    from scipy import stats as sps
-
     k = 4.0 / (skew * skew)
-    return sps.gamma(k)
+    return _Gamma(k)
 
 
-def _build_type1(skew: float, kurt: float):
+def _build_type1(skew: float, kurt: float) -> _Beta:
     """General beta via the classical method-of-moments solution."""
-    from scipy import stats as sps
-
     # Classical method-of-moments for beta: with b2 the (non-excess)
     # kurtosis, the shape total r = a + b solves
     # r = 6*(b2 - skew^2 - 1) / (6 + 3*skew^2 - 2*b2)
@@ -170,13 +295,11 @@ def _build_type1(skew: float, kurt: float):
             a, b = b, a
     if a <= 0.0 or b <= 0.0:
         raise ReconstructionError(f"beta shapes out of range: a={a:.4g}, b={b:.4g}")
-    return sps.beta(a, b)
+    return _Beta(a, b)
 
 
-def _build_type5(skew: float):
+def _build_type5(skew: float) -> _InvGamma:
     """Inverse gamma on the kappa == 1 boundary."""
-    from scipy import stats as sps
-
     # skew of invgamma(alpha) = 4*sqrt(alpha-2)/(alpha-3), alpha > 3.
     g = abs(skew)
     if g < 1e-12:
@@ -187,27 +310,109 @@ def _build_type5(skew: float):
     alpha = u * u + 2.0
     if alpha <= 4.0:
         raise ReconstructionError(f"type V shape alpha={alpha:.4g} lacks 4th moment")
-    return sps.invgamma(alpha)
+    return _InvGamma(alpha)
 
 
-def _build_type6(skew: float, kurt: float):
+def _ieee_div(num: float, den: float) -> float:
+    """``num / den`` with C's IEEE 754 result for a zero *den* (no raise)."""
+    if den != 0.0:  # repro: noqa[DET005]
+        return num / den
+    if math.isnan(num) or num == 0.0:  # repro: noqa[DET005]
+        return math.nan
+    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+
+
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0
+
+
+def _brentq(
+    f: Callable[[float], float],
+    xa: float,
+    xb: float,
+    xtol: float,
+    rtol: float,
+    maxiter: int = 100,
+) -> float:
+    """Root of *f* in ``[xa, xb]`` by Brent's method.
+
+    A step-for-step port of the C routine behind ``scipy.optimize.brentq``
+    (same iteration, tolerances and ``maxiter``), so its root is bit-equal
+    to scipy's.  Raises ``ValueError`` when ``f(xa)`` and ``f(xb)`` have
+    the same sign or *f* returns NaN, and ``RuntimeError`` when *maxiter*
+    steps do not converge.  Its exact-zero tests on ``f`` are the C
+    routine's, hence the DET005 suppressions.
+    """
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:  # repro: noqa[DET005]
+        return xpre
+    if fcur == 0.0:  # repro: noqa[DET005]
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):  # repro: noqa[DET005]
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:  # repro: noqa[DET005]
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = _ieee_div(-fcur * (xcur - xpre), fcur - fpre)
+            else:
+                # extrapolate
+                dpre = _ieee_div(fpre - fcur, xpre - xcur)
+                dblk = _ieee_div(fblk - fcur, xblk - xcur)
+                stry = _ieee_div(
+                    -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
+def _build_type6(skew: float, kurt: float) -> _BetaPrime:
     """Beta-prime (Pearson VI) via 2-D numeric moment matching."""
-    from scipy import stats as sps
-    from scipy.optimize import brentq
-
     g1 = abs(skew)
     g2e = kurt - 3.0
 
     def bp_skew_kurt(a: float, b: float) -> tuple[float, float]:
         # Standardized moments of betaprime(a, b); requires b > 4.
-        var = a * (a + b - 1.0) / ((b - 2.0) * (b - 1.0) ** 2)
         sk = 2.0 * (2.0 * a + b - 1.0) / (b - 3.0) * np.sqrt(
             (b - 2.0) / (a * (a + b - 1.0))
         )
         ex = 6.0 * (
             a * (a + b - 1.0) * (5.0 * b - 11.0) + (b - 1.0) ** 2 * (b - 2.0)
         ) / (a * (a + b - 1.0) * (b - 3.0) * (b - 4.0))
-        del var
         return sk, ex
 
     # For fixed b, skew is monotone in a; solve a(b) from skew, then match
@@ -221,7 +426,7 @@ def _build_type6(skew: float, kurt: float):
         flo, fhi = f(lo), f(hi)
         if flo * fhi > 0.0:
             raise ReconstructionError("type VI: no matching shape a for skew")
-        return brentq(f, lo, hi, xtol=1e-12, rtol=1e-12)
+        return _brentq(f, lo, hi, xtol=1e-12, rtol=1e-12)
 
     def kurt_gap(b: float) -> float:
         a = a_from_b(b)
@@ -239,9 +444,9 @@ def _build_type6(skew: float, kurt: float):
     ghi = kurt_gap(hi_b)
     if glo * ghi > 0.0:
         raise ReconstructionError("type VI: kurtosis not bracketable")
-    b = brentq(kurt_gap, lo_b, hi_b, xtol=1e-10, rtol=1e-10)
+    b = _brentq(kurt_gap, lo_b, hi_b, xtol=1e-10, rtol=1e-10)
     a = a_from_b(b)
-    return sps.betaprime(a, b)
+    return _BetaPrime(a, b)
 
 
 @dataclass(frozen=True)
@@ -307,8 +512,7 @@ class _PearsonIV:
         theta, cdf = self._cdf_table()
         return np.interp(theta_q, theta, cdf)
 
-    def rvs(self, size: int, random_state=None) -> np.ndarray:
-        rng = check_random_state(random_state)
+    def rvs(self, size: int, rng: np.random.Generator) -> np.ndarray:
         theta, cdf = self._cdf_table()
         u = rng.random(size)
         theta_s = np.interp(u, cdf, theta)
@@ -358,19 +562,17 @@ class PearsonDistribution:
     skew: float
     kurt: float
     pearson_type: int
-    _base: object
+    _base: _Family | None
     _loc: float
     _scale: float
 
     def rvs(self, size: int, random_state=None) -> np.ndarray:
         """Draw ``size`` samples matching the requested moments."""
         rng = check_random_state(random_state)
-        if isinstance(self._base, _PearsonIV):
-            raw = self._base.rvs(size, random_state=rng)
-        elif self._base is None:  # degenerate point mass
+        if self._base is None:  # degenerate point mass
             raw = np.zeros(size)
         else:
-            raw = self._base.rvs(size=size, random_state=rng)
+            raw = self._base.rvs(size, rng)
         return self._loc + self._scale * raw
 
     def pdf(self, x) -> np.ndarray:
@@ -416,8 +618,8 @@ def pearson_system(
         return PearsonDistribution(mean, 0.0, skew, kurt, 0, None, mean, 0.0)
     ptype = classify_pearson(skew, kurt)
 
-    builders: dict[int, Callable[[], object]] = {
-        0: _build_normal,
+    constructors: dict[int, Callable[[], _Family]] = {
+        0: _Normal,
         1: lambda: _build_type1(skew, kurt),
         2: lambda: _build_type2(kurt),
         3: lambda: _build_type3(skew),
@@ -426,19 +628,17 @@ def pearson_system(
         6: lambda: _build_type6(skew, kurt),
         7: lambda: _build_type7(kurt),
     }
+    base: _Family
     try:
-        base = builders[ptype]()
+        base = constructors[ptype]()
     except ReconstructionError:
         # Geometry edge cases near type boundaries: retreat to the normal
         # distribution rather than failing a whole prediction pipeline.
-        base = _build_normal()
+        base = _Normal()
         ptype = 0
 
     mirror = ptype in (3, 5, 6) and skew < 0.0
-    if isinstance(base, _PearsonIV):
-        base_mean, base_var = base.stats_mv()
-    else:
-        base_mean, base_var = (float(v) for v in base.stats(moments="mv"))
+    base_mean, base_var = base.stats_mv()
     base_std = np.sqrt(base_var)
     if not np.isfinite(base_std) or base_std <= 0.0:
         raise ReconstructionError(

@@ -4,8 +4,10 @@
   still joins them in shard-id order;
 * a shard that fails its handshake fails the constructor with
   ``ProcessStartupError`` and leaves no process or router thread behind;
-* a shard has loaded the sampler stack before it reports ready, so no
-  request behind its admission gate pays that import.
+* a shard has loaded the sampler stack (``scipy.special``) before it
+  reports ready, so no request behind its admission gate pays that
+  import, and sampling loads neither ``scipy.stats`` nor
+  ``scipy.optimize``.
 
 Shard targets are module-level because ``spawn`` pickles them.
 """
@@ -28,6 +30,7 @@ from repro.serving import ModelRegistry
 from repro.serving.fleet import AdmissionConfig, FleetHandle
 from repro.serving.fleet import handle as handle_mod
 from repro.serving.fleet.shard import run_shard
+from repro.serving.protocol import predict_request
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -87,8 +90,13 @@ def test_failed_handshake_stops_every_shard_and_the_router(store_root, monkeypat
     assert leaked == []
 
 
-def test_shard_loads_the_sampler_stack_before_its_handshake(tmp_path):
-    """A fresh-interpreter shard reports ready with ``scipy.stats`` loaded."""
+def test_shard_loads_the_sampler_stack_before_its_handshake(store_root, intel_small):
+    """A fresh-interpreter shard reports ready with ``scipy.special`` loaded
+    and ``scipy.stats``/``scipy.optimize`` not; sampling a pearsonrnd model
+    keeps those two out."""
+    request = predict_request(
+        "uc1", intel_small["npb/cg"].subset(range(6)), n_samples=100
+    )
     script = textwrap.dedent(
         f"""
         import json, sys, threading
@@ -98,20 +106,29 @@ def test_shard_loads_the_sampler_stack_before_its_handshake(tmp_path):
 
         seen = {{}}
 
-        def drain(port):
+        def loaded():
+            names = ("scipy.special", "scipy.stats", "scipy.optimize")
+            return [name for name in names if name in sys.modules]
+
+        def sample_then_drain(port):
             with ServingClient("127.0.0.1", port, timeout_s=30.0) as client:
+                reply = client.request(json.loads({json.dumps(request)!r}))
+                seen["reply"] = [reply["status"], reply.get("representation"),
+                                 "samples" in reply]
+                seen["after_sampling"] = loaded()
                 client.request({{"op": "drain"}})
 
         class Handshake:
             def send(self, payload):
-                seen["scipy_stats_loaded"] = "scipy.stats" in sys.modules
-                threading.Thread(target=drain, args=(payload["port"],)).start()
+                seen["at_handshake"] = loaded()
+                threading.Thread(target=sample_then_drain,
+                                 args=(payload["port"],)).start()
 
             def close(self):
                 pass
 
-        assert "scipy.stats" not in sys.modules
-        run_shard(Handshake(), "shard-x", {str(tmp_path)!r}, ServingConfig(),
+        assert loaded() == []
+        run_shard(Handshake(), "shard-x", {store_root!r}, ServingConfig(),
                   AdmissionConfig())
         print(json.dumps(seen))
         """
@@ -124,4 +141,8 @@ def test_shard_loads_the_sampler_stack_before_its_handshake(tmp_path):
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == {"scipy_stats_loaded": True}
+    assert json.loads(out.stdout) == {
+        "at_handshake": ["scipy.special"],
+        "reply": [200, "PearsonRndRepresentation", True],
+        "after_sampling": ["scipy.special"],
+    }

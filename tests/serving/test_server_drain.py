@@ -11,13 +11,20 @@ socket closes.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import threading
 import time
 
 import pytest
 
-from repro.serving import ModelRegistry, PredictionService, ServerHandle, ServingConfig
+from repro.serving import (
+    ModelRegistry,
+    PredictionService,
+    ServerHandle,
+    ServingClient,
+    ServingConfig,
+)
 from repro.serving.protocol import predict_request
 from repro.serving.service import _SHUTDOWN
 
@@ -99,3 +106,31 @@ class TestDrainAnswersInflight:
         server.close()
         assert time.monotonic() - t0 < 10.0
         sock.close()
+
+
+def finished_answer_tasks() -> int:
+    """Finished per-request answer tasks still reachable in this process."""
+    gc.collect()
+    return sum(
+        1
+        for obj in gc.get_objects()
+        if isinstance(obj, asyncio.Task)
+        and obj.done()
+        and obj.get_coro().__qualname__ == "_handle_connection.<locals>.answer"
+    )
+
+
+class TestLongLivedConnection:
+    def test_answered_tasks_are_released_before_the_connection_closes(self, registry):
+        """The fleet router keeps one connection per shard open for the
+        fleet's lifetime; the server must not hold a finished answer task
+        for every request that connection ever carried."""
+        with ServerHandle(registry) as server:
+            with ServingClient("127.0.0.1", server.port) as client:
+                for _ in range(2000):
+                    assert client.ping()
+                # The last task may still be finishing its write.
+                deadline = time.monotonic() + 5.0
+                while finished_answer_tasks() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert finished_answer_tasks() == 0
