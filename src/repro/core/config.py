@@ -95,9 +95,9 @@ class PredictConfig:
 
     def __post_init__(self) -> None:
         """Validate the assumption name eagerly (configs travel far)."""
-        from .sketch import check_assumption
+        from .. import registry
 
-        object.__setattr__(self, "assumption", check_assumption(self.assumption))
+        object.__setattr__(self, "assumption", registry.assumption(self.assumption))
 
     def resolve_model(self):
         """Fresh model instance for this config."""

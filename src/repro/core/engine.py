@@ -26,15 +26,15 @@ Every cached artifact is a pure function of its key, which is what makes
 the sharing bit-identical to the naive per-cell recomputation: the same
 arrays flow into the same operations in the same order.
 
-Every fold outside the in-process fallback for models that must stay
-serial runs in :func:`_fit_predict_fold`, on a tiny task — ``(model,
-array refs, folds)``, each fold a ``(held-out benchmark, probe row,
-scaler params)`` tuple — and re-derives its ``X[mask]``/``Y[mask]``
+Every fold runs in :func:`_fit_predict_fold`, on a tiny task —
+``(model, array refs, folds)``, each fold a ``(held-out benchmark, probe
+row, scaler params)`` tuple — and re-derives its ``X[mask]``/``Y[mask]``
 views from the full design arrays.  A task holds one fold, or for
 lockstep-capable hist boosting one contiguous group of folds per worker,
-grown as a single batch.  Serial runs (``n_workers == 1``) call it
-in-process on the arrays themselves; pooled runs fan the same tasks out
-across a :class:`~repro.parallel.worker_pool.WorkerPool` (the grid
+grown as a single batch.  Serial runs (``n_workers == 1``, or a model
+seeded with a stateful generator) call it in-process on the arrays
+themselves; pooled runs fan the same tasks out across a
+:class:`~repro.parallel.worker_pool.WorkerPool` (the grid
 runners pass a persistent one; ad-hoc calls get a transient pool),
 whose store publishes each array once — as a shared-memory segment, or
 inline in the task pickle where shared memory is unusable.  Folds are
@@ -44,8 +44,7 @@ only per-fold inputs, and the KS-scoring RNG is keyed per benchmark with
 and the transport never change results.
 
 When :mod:`repro.obs` is enabled the engine emits one ``fold`` span per
-in-process task or fallback fold, or one ``fold_batch`` span per
-parallel dispatch, plus
+in-process task, or one ``fold_batch`` span per parallel dispatch, plus
 the ``engine.*`` dedup/hit counters documented in
 ``docs/OBSERVABILITY.md``; all of it is bit-neutral bookkeeping.
 """
@@ -60,7 +59,7 @@ from ..data.dataset import RunCampaign
 from ..errors import ValidationError
 from ..ml.base import Regressor
 from ..ml.binning import BinMapper, BinnedMatrix
-from ..ml.boosting import GradientBoostingRegressor, can_lockstep, fit_predict_folds
+from ..ml.boosting import can_lockstep, fit_predict_folds
 from ..ml.scaling import RobustScaler
 from ..parallel.seeding import seed_for
 from ..parallel.shm import attach
@@ -138,22 +137,13 @@ def _hist_model(model: Regressor) -> bool:
 
 
 def _wants_serial(model: Regressor) -> bool:
-    """Whether folds must be fitted in-process, in order, from ``X``.
+    """Whether folds must be fitted in-process, one by one, in order.
 
     A stateful ``np.random.Generator`` on the model is advanced by each
-    successive fold in the serial path; pickling would hand every worker
-    the same generator state.  Hist boosting with row subsampling needs
-    the raw matrix (the running-prediction update walks rows the round
-    never trained on), so it cannot fit from codes alone.  Registry
-    models carry integer seeds and parallelize freely.
+    successive fold; pickling would hand every worker the same generator
+    state.  Registry models carry integer seeds and parallelize freely.
     """
-    if isinstance(getattr(model, "rng", None), np.random.Generator):
-        return True
-    return (
-        isinstance(model, GradientBoostingRegressor)
-        and _hist_model(model)
-        and model.subsample != 1.0  # repro: noqa[DET005]
-    )
+    return isinstance(getattr(model, "rng", None), np.random.Generator)
 
 
 def logo_fold_vectors(
@@ -193,15 +183,16 @@ def logo_fold_vectors(
     one-time binning pass is shared by every fold.
 
     Folds travel as tasks of :func:`_fit_predict_fold`, in-process at
-    ``n_workers == 1`` and through the pool otherwise.  Most models get
-    one fold per task, which lets adaptive chunking balance the pool.  A
-    boosting model that satisfies :func:`~repro.ml.boosting.can_lockstep`
-    gets ``min(n_workers, n_folds)`` contiguous fold groups instead, and
-    each group grows its folds' round-``r`` trees as one batch
+    ``n_workers == 1`` or for a model that must stay serial
+    (:func:`_wants_serial`), and through the pool otherwise.  Most
+    models get one fold per task, which lets adaptive chunking balance
+    the pool.  A boosting model that satisfies
+    :func:`~repro.ml.boosting.can_lockstep` gets ``min(n_workers,
+    n_folds)`` contiguous fold groups instead, and each group grows its
+    folds' round-``r`` trees as one batch
     (:func:`~repro.ml.boosting.fit_predict_folds`): the batch kernel
     amortizes per-node overhead within a worker, the pool spreads the
-    groups across workers.  Models that must stay serial
-    (:func:`_wants_serial`) fit their folds in-process, in order.
+    groups across workers.
 
     Results are bit-identical for any ``n_workers``, with or without a
     persistent pool, on either transport: each fold consumes only its
@@ -223,20 +214,6 @@ def logo_fold_vectors(
             obs.counter("engine.scaled_folds.hits")
         scalers.append(scaler)
     obs.counter("engine.folds.fitted", len(names))
-    if _wants_serial(model):
-        vectors = []
-        for bench, scaler in zip(names, scalers):
-            mask = groups != bench
-            fit_kw = {}
-            if hist:
-                fit_kw["binned"] = binned.scaled(
-                    scaler.center_, scaler.scale_
-                ).take_rows(mask)
-            with obs.span("fold", benchmark=bench):
-                fitted = model.clone().fit(scaler.transform(X[mask]), Y[mask], **fit_kw)
-                xp = scaler.transform(probe_features[bench][None, :])
-                vectors.append(fitted.predict(xp)[0])
-        return dict(zip(names, vectors))
     if hist:
         payload = {"codes": binned.codes, "n_bins": binned.n_bins,
                    "lo": binned.lo, "hi": binned.hi}
@@ -247,7 +224,7 @@ def logo_fold_vectors(
         (bench, probe_features[bench], scaler.center_, scaler.scale_)
         for bench, scaler in zip(names, scalers)
     ]
-    if hist and can_lockstep(model, [groups != bench for bench in names]):
+    if can_lockstep(model, [groups != bench for bench in names]):
         # One contiguous group per worker; each grows as one lockstep batch.
         n_groups = min(n_workers, len(folds))
         cuts = [len(folds) * g // n_groups for g in range(n_groups + 1)]
@@ -255,7 +232,7 @@ def logo_fold_vectors(
     else:
         # One fold per task, so adaptive chunking balances the pool.
         tasks = [[fold] for fold in folds]
-    if n_workers == 1:
+    if n_workers == 1 or _wants_serial(model):
         # The arrays are their own (inline) refs in-process.
         vectors = []
         for task in tasks:

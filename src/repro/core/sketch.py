@@ -38,12 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import registry
 from .._validation import as_float_array, as_sample_array, check_positive_int
 from ..data.dataset import RunCampaign
 from ..errors import ValidationError
+from ..registry import ASSUMPTIONS
 from ..stats.lognormal import fit_lognormal, lognormal_cdf, lognormal_moments
 from ..stats.moments import MomentVector, nearest_feasible
 from .features import FeatureConfig, profile_features
+from .quantile_representation import _QuantileReconstruction
 from .representations import (
     DistributionRepresentation,
     HistogramRepresentation,
@@ -54,7 +57,6 @@ __all__ = [
     "DEFAULT_SKETCH_LEVELS",
     "DEFAULT_ASSUMPTION",
     "ASSUMPTIONS",
-    "check_assumption",
     "QuantileSketch",
     "SampleProbe",
     "SketchProbe",
@@ -68,29 +70,12 @@ __all__ = [
 #: levels the percentile-only evaluation uses): p50/p90/p95/p99.
 DEFAULT_SKETCH_LEVELS: tuple[float, ...] = (0.5, 0.9, 0.95, 0.99)
 
-#: Registered moment-recovery assumptions.
-ASSUMPTIONS: tuple[str, ...] = ("lognormal", "pearson")
-
 #: Assumption applied when neither the probe nor the consumer pins one.
 DEFAULT_ASSUMPTION = "lognormal"
 
 #: Tolerance used when matching user-supplied levels (plain ``==`` on
 #: floats would be fragile; levels are nominal constants like 0.99).
 _LEVEL_TOL = 1e-9
-
-
-def check_assumption(name: str) -> str:
-    """Validate a moment-recovery assumption name; returns it canonical."""
-    if not isinstance(name, str):
-        raise ValidationError(
-            f"assumption must be a string, got {type(name).__name__}"
-        )
-    key = name.lower()
-    if key not in ASSUMPTIONS:
-        raise ValidationError(
-            f"unknown assumption {name!r}; choose from {ASSUMPTIONS}"
-        )
-    return key
 
 
 def _piecewise_linear_moments(levels: np.ndarray, values: np.ndarray) -> MomentVector:
@@ -144,24 +129,6 @@ class _LogNormalReconstruction(ReconstructedDistribution):
 
     def cdf(self, x) -> np.ndarray:
         return lognormal_cdf(x, self.mu, self.sigma)
-
-
-@dataclass(frozen=True)
-class _PiecewiseLinearReconstruction(ReconstructedDistribution):
-    """Piecewise-linear quantile decode of a sketch (Pearson-agnostic)."""
-
-    levels: np.ndarray  # padded with 0/1
-    values: np.ndarray  # padded with the end values
-
-    def sample(self, n: int, rng=None) -> np.ndarray:
-        from .._validation import check_random_state
-
-        gen = check_random_state(rng)
-        return np.interp(gen.random(n), self.levels, self.values)
-
-    def cdf(self, x) -> np.ndarray:
-        xq = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        return np.interp(xq, self.values, self.levels, left=0.0, right=1.0)
 
 
 @dataclass(frozen=True)
@@ -293,7 +260,7 @@ class QuantileSketch:
 
     def moments(self, assumption: str = DEFAULT_ASSUMPTION) -> MomentVector:
         """First four moments recovered under *assumption*."""
-        kind = check_assumption(assumption)
+        kind = registry.assumption(assumption)
         if kind == "lognormal":
             mu, sigma = self.lognormal_fit()
             return lognormal_moments(mu, sigma)
@@ -306,7 +273,7 @@ class QuantileSketch:
         is just ``log`` of this sketch's values.  Under the lognormal
         assumption ``log X`` is exactly normal: ``(mu, sigma, 0, 3)``.
         """
-        kind = check_assumption(assumption)
+        kind = registry.assumption(assumption)
         if kind == "lognormal":
             mu, sigma = self.lognormal_fit()
             return MomentVector(mu, sigma, 0.0, 3.0)
@@ -319,12 +286,12 @@ class QuantileSketch:
         self, assumption: str = DEFAULT_ASSUMPTION
     ) -> ReconstructedDistribution:
         """Decoded distribution (sampleable, CDF-evaluable)."""
-        kind = check_assumption(assumption)
+        kind = registry.assumption(assumption)
         if kind == "lognormal":
             mu, sigma = self.lognormal_fit()
             return _LogNormalReconstruction(mu, sigma)
         levels, values = self._padded()
-        return _PiecewiseLinearReconstruction(levels=levels, values=values)
+        return _QuantileReconstruction(levels=levels, values=values)
 
     def pseudo_samples(
         self, n: int | None = None, assumption: str = DEFAULT_ASSUMPTION
@@ -337,7 +304,7 @@ class QuantileSketch:
         """
         count = self.n_runs if n is None else check_positive_int(n, name="n")
         u = (np.arange(count, dtype=np.float64) + 0.5) / count
-        kind = check_assumption(assumption)
+        kind = registry.assumption(assumption)
         if kind == "lognormal":
             from ..stats.lognormal import lognormal_quantile
 
@@ -476,7 +443,7 @@ class SketchProbe:
                 raise ValidationError("rate_sketches must hold QuantileSketch")
         if self.assumption is not None:
             object.__setattr__(
-                self, "assumption", check_assumption(self.assumption)
+                self, "assumption", registry.assumption(self.assumption)
             )
 
     @property
@@ -516,7 +483,7 @@ class SketchProbe:
         if self.assumption is not None:
             return self.assumption
         if default is not None:
-            return check_assumption(default)
+            return registry.assumption(default)
         return DEFAULT_ASSUMPTION
 
     def features(
@@ -630,7 +597,7 @@ class SketchProbeSpec:
             raise ValidationError(
                 "sketch_levels must be strictly increasing inside (0, 1)"
             )
-        object.__setattr__(self, "assumption", check_assumption(self.assumption))
+        object.__setattr__(self, "assumption", registry.assumption(self.assumption))
 
     @property
     def key(self) -> str:
@@ -681,7 +648,7 @@ def encode_from_sketch(
       :meth:`~QuantileSketch.pseudo_samples` — exact for none, defined
       for all.
     """
-    kind = check_assumption(assumption)
+    kind = registry.assumption(assumption)
     if representation.encoding_key == "moments4":
         return sketch.moments(kind).as_array()
     from .quantile_representation import QuantileRepresentation

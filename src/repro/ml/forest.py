@@ -9,14 +9,12 @@ targets.
 from __future__ import annotations
 
 import time
-from functools import partial
 
 import numpy as np
 
 from .. import obs
 from .._validation import check_positive_int, check_random_state
 from ..errors import ValidationError
-from ..parallel.pool import parallel_map
 from .base import Regressor, validate_fit_inputs
 from .tree import RegressionTree, check_tree_method, n_candidate_features
 
@@ -26,10 +24,9 @@ __all__ = ["RandomForestRegressor"]
 def _fit_one_tree(Xv, yv, tree_params, bootstrap, seq) -> RegressionTree:
     """Fit one forest member from its spawned seed sequence.
 
-    Top-level (and driven purely by ``seq``) so tree fits can fan out
-    across processes with results independent of scheduling: every tree
-    derives its feature subsampling *and* bootstrap rows from its own
-    pre-spawned stream.
+    Driven purely by ``seq``: every tree derives its feature subsampling
+    *and* bootstrap rows from its own pre-spawned stream, so a tree does
+    not depend on the order the forest's trees are fitted in.
     """
     tree_rng = np.random.default_rng(seq)
     tree = RegressionTree(rng=tree_rng, **tree_params)
@@ -59,19 +56,16 @@ class RandomForestRegressor(Regressor):
     rng:
         Seed or Generator; child trees get independent spawned streams so
         results are reproducible regardless of fitting order.
-    n_jobs:
-        Processes fitting trees concurrently (1 = in-process serial,
-        ``None`` = :func:`repro.parallel.pool.default_workers`).  Any
-        value yields bit-identical forests because each tree is a pure
-        function of its pre-spawned seed stream.
     tree_method:
         ``"exact"`` (default) fits each tree with the per-node sorted
         scan; ``"hist"`` bins the matrix once and grows *all* trees as
         one level-wise batch on the shared uint8 codes
         (:mod:`repro.ml.hist`) — the batch kernel amortizes per-node
-        NumPy overhead across the whole forest, so the hist path runs
-        in-process and ignores ``n_jobs``.  Joint growth is bit-identical
-        to growing each tree solo from its spawned stream.
+        NumPy overhead across the whole forest.  Joint growth is
+        bit-identical to growing each tree solo from its spawned stream.
+
+    Trees are fitted in-process: the evaluation grids parallelize at
+    the LOGO-fold level (:func:`repro.core.engine.logo_fold_vectors`).
     """
 
     def __init__(
@@ -84,7 +78,6 @@ class RandomForestRegressor(Regressor):
         max_features: int | float | str | None = "sqrt",
         bootstrap: bool = True,
         rng=None,
-        n_jobs: int | None = 1,
         tree_method: str = "exact",
     ) -> None:
         self.n_estimators = check_positive_int(n_estimators, name="n_estimators")
@@ -94,7 +87,6 @@ class RandomForestRegressor(Regressor):
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.rng = rng
-        self.n_jobs = n_jobs
         self.tree_method = check_tree_method(tree_method)
 
     def _fit_hist(self, yv, seeds, binned) -> None:
@@ -140,15 +132,7 @@ class RandomForestRegressor(Regressor):
             trees.append(t)
         self.trees_ = trees
         if timing:
-            obs.counter("tree.fits", len(grown))
-            obs.counter("tree.nodes", stats.nodes)
-            obs.counter("tree.hist_nodes", stats.nodes)
-            obs.counter("tree.hist_subtractions", stats.hist_subtractions)
-            obs.counter("tree.rows_partitioned", stats.rows_partitioned)
-            obs.observe("tree.hist_build_s", stats.build_s)
-            obs.observe("tree.scan_s", stats.scan_s)
-            obs.observe("tree.partition_s", stats.partition_s)
-            obs.observe("tree.leaf_s", stats.leaf_s)
+            stats.emit(len(grown))
 
     def fit_binned(self, binned, y) -> "RandomForestRegressor":
         """Fit from a :class:`~repro.ml.binning.BinnedMatrix` alone.
@@ -169,9 +153,7 @@ class RandomForestRegressor(Regressor):
         )
         timing = obs.enabled()
         t_fit = time.perf_counter() if timing else 0.0
-        with obs.span(
-            "forest.fit", n_estimators=self.n_estimators, n_jobs=self.n_jobs or 0
-        ):
+        with obs.span("forest.fit", n_estimators=self.n_estimators):
             self._fit_hist(yv, seeds, binned)
         if timing:
             obs.counter("forest.fits")
@@ -193,9 +175,7 @@ class RandomForestRegressor(Regressor):
         )
         timing = obs.enabled()
         t_fit = time.perf_counter() if timing else 0.0
-        with obs.span(
-            "forest.fit", n_estimators=self.n_estimators, n_jobs=self.n_jobs or 0
-        ):
+        with obs.span("forest.fit", n_estimators=self.n_estimators):
             if self.tree_method == "hist":
                 if binned is None:
                     from .binning import BinMapper
@@ -208,24 +188,16 @@ class RandomForestRegressor(Regressor):
                     )
                 self._fit_hist(yv, seeds, binned)
             else:
-                fit_tree = partial(
-                    _fit_one_tree,
-                    Xv,
-                    yv,
-                    {
-                        "max_depth": self.max_depth,
-                        "min_samples_split": self.min_samples_split,
-                        "min_samples_leaf": self.min_samples_leaf,
-                        "max_features": self.max_features,
-                    },
-                    self.bootstrap,
-                )
-                if self.n_jobs == 1:
-                    self.trees_ = [fit_tree(seq) for seq in seeds]
-                else:
-                    self.trees_ = parallel_map(
-                        fit_tree, seeds, n_workers=self.n_jobs
-                    )
+                tree_params = {
+                    "max_depth": self.max_depth,
+                    "min_samples_split": self.min_samples_split,
+                    "min_samples_leaf": self.min_samples_leaf,
+                    "max_features": self.max_features,
+                }
+                self.trees_ = [
+                    _fit_one_tree(Xv, yv, tree_params, self.bootstrap, seq)
+                    for seq in seeds
+                ]
         if timing:
             obs.counter("forest.fits")
             obs.observe("forest.fit_s", time.perf_counter() - t_fit)

@@ -54,10 +54,10 @@ the shared uint8 codes of a :class:`~repro.ml.binning.BinnedMatrix`:
   ``sum(resid) / (count + lambda)``, adds the shrunken leaf value into
   the caller's running prediction for exactly the leaf's rows, and
   rewrites the float64/float32 residual views in place — all inside the
-  leaf-routing pass the kernel performs anyway.  A boosting round then
-  needs no separate ``tree._predict`` walk and no full-vector residual
-  re-derivation; per-element arithmetic is identical to the unfused
-  caller-side update, so results are bit-identical.
+  leaf-routing pass the kernel performs anyway.  The rows a boosting
+  round grows on then need no separate ``tree._predict`` walk and no
+  residual re-derivation; per-element arithmetic is identical to the
+  unfused caller-side update, so results are bit-identical.
 * **Split selection** — candidate positions are occupied-bin
   boundaries; ties are broken position-major (lowest candidate position
   first, then lowest feature position), matching the exact kernel's
@@ -70,19 +70,20 @@ the shared uint8 codes of a :class:`~repro.ml.binning.BinnedMatrix`:
   targets.
 
 Counts are exact integers throughout; only target sums are float32.
-The kernel is deterministic for a given batch composition: the scoring
-regime is a pure function of node size and bin width, the callers
-always grow a forest's trees as one joint batch and a boosting round as
-one single-tree batch, so results do not depend on worker count.
+The kernel is deterministic, and a tree does not depend on the other
+trees in its batch: the scoring regime is a pure function of node size
+and bin width, so neither the batch a forest is grown in nor the fold
+groups a boosting round is cut into change a result.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .. import obs
 from ..errors import ValidationError
 
 __all__ = [
@@ -169,6 +170,24 @@ class GrowStats:
     partition_s: float = 0.0
     leaf_s: float = 0.0
 
+    def add(self, other: "GrowStats") -> None:
+        """Accumulate *other* (one fit's many calls, e.g. boosting rounds)."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+    def emit(self, fits: int) -> None:
+        """Record the ``tree.*`` counters and histograms of one fit that
+        grew *fits* trees (``docs/OBSERVABILITY.md``)."""
+        obs.counter("tree.fits", fits)
+        obs.counter("tree.nodes", self.nodes)
+        obs.counter("tree.hist_nodes", self.nodes)
+        obs.counter("tree.hist_subtractions", self.hist_subtractions)
+        obs.counter("tree.rows_partitioned", self.rows_partitioned)
+        obs.observe("tree.hist_build_s", self.build_s)
+        obs.observe("tree.scan_s", self.scan_s)
+        obs.observe("tree.partition_s", self.partition_s)
+        obs.observe("tree.leaf_s", self.leaf_s)
+
 
 @dataclass
 class BoostFusion:
@@ -195,9 +214,9 @@ class BoostFusion:
 def feature_code_order(codes: np.ndarray) -> np.ndarray:
     """``(d, n)`` per-feature row order of binned codes.
 
-    Computed once per (matrix, fit) and shared by every tree/round grown
-    with a full candidate set; :func:`grow_trees` derives all deeper
-    orderings from it by stable partition, never sorting again.
+    :func:`grow_trees` builds a full-candidate root from it when no
+    root entries are passed and derives all deeper orderings from the
+    root by stable partition, never sorting again.
     """
     return np.ascontiguousarray(np.argsort(codes, axis=0, kind="stable").T)
 
@@ -457,11 +476,11 @@ def _score_hist(er_b, ec_b, msel, F, B, y32, min_leaf, sub_ctx, stats,
         t0 = t1
 
     # Prefix scans over the bin axis, slab style on a (B, S, k) copy so
-    # the raw histograms survive for retention.
+    # the raw histograms survive for retention.  An explicit copy: with
+    # one (slot, feature) segment the transpose is already contiguous,
+    # and ascontiguousarray would scan the retained histogram itself.
     cnt2 = cnt.reshape(S_h, B)
-    hT = np.ascontiguousarray(
-        hsum.reshape(S_h, B, k).transpose(1, 0, 2)
-    )
+    hT = hsum.reshape(S_h, B, k).transpose(1, 0, 2).copy()
     for b in range(1, B):
         hT[b] += hT[b - 1]
     ccnt = np.cumsum(cnt2, axis=1)
@@ -510,8 +529,8 @@ def _score_hist(er_b, ec_b, msel, F, B, y32, min_leaf, sub_ctx, stats,
 
 
 def grow_trees(binned, y32, y64, specs, *, n_cand, max_depth,
-               min_samples_split, min_samples_leaf, feature_order=None,
-               root_entries=None, boost=None, timing=False):
+               min_samples_split, min_samples_leaf, root_entries=None,
+               boost=None, timing=False):
     """Grow a batch of trees level-wise on pre-binned codes.
 
     Parameters
@@ -527,17 +546,13 @@ def grow_trees(binned, y32, y64, specs, *, n_cand, max_depth,
         One :class:`TreeSpec` per tree.  All specs must use the same
         mode: full candidate set (``n_cand >= d``, ``rng`` unused) or
         per-node draws (``rng`` required).
-    feature_order:
-        Optional ``(d, n)`` result of :func:`feature_code_order` for
-        the full-candidate path; computed on the fly when omitted.
-        Callers fitting many rounds on the same codes should pass it.
     root_entries:
         Optional pre-built root entry arrays ``(rows, codes)`` for the
         full-candidate path: the concatenation, spec-major then
         feature-major, of each spec's rows stably sorted by bin code,
-        plus the matching bin codes.  Callers growing many rounds over
-        fixed spec row-sets (fold-lockstep boosting) pass this to skip
-        the per-call root build; rows must be duplicate-free per spec.
+        plus the matching bin codes.  Callers growing many rounds on
+        the same codes (the boosting round loop) pass this to skip the
+        per-call root sort; rows must be duplicate-free per spec.
     boost:
         Optional :class:`BoostFusion` fusing the boosting-round Newton
         leaf step, running-prediction update and residual rewrite into
@@ -617,8 +632,7 @@ def grow_trees(binned, y32, y64, specs, *, n_cand, max_depth,
             root_g = np.ascontiguousarray(root_entries[0], dtype=np.int32)
             root_c = np.ascontiguousarray(root_entries[1], dtype=np.uint8)
         else:
-            if feature_order is None:
-                feature_order = feature_code_order(codes)
+            feature_order = feature_code_order(codes)
             mult = np.zeros(n_glob, dtype=np.int64)
             parts = []
             for s in specs:

@@ -51,6 +51,26 @@ def n_candidate_features(max_features, d: int) -> int:
         return max(1, int(round(max_features * d)))
     return min(d, check_positive_int(max_features, name="max_features"))
 
+
+def leaf_index(feature, threshold, left, right, X: np.ndarray) -> np.ndarray:
+    """Leaf node id of each row of *X* under a tree's flat node arrays.
+
+    Vectorized traversal: all rows advance one level per iteration, left
+    where ``X[row, feature] <= threshold``.  Takes the arrays rather than
+    a tree so a caller can walk one tree's structure under thresholds
+    re-expressed in another scaling.
+    """
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    active = feature[node] >= 0
+    while np.any(active):
+        rows = np.nonzero(active)[0]
+        nid = node[rows]
+        go_left = X[rows, feature[nid]] <= threshold[nid]
+        node[rows] = np.where(go_left, left[nid], right[nid])
+        active[rows] = feature[node[rows]] >= 0
+    return node
+
+
 #: Scratch budget of the split search, in float32 elements.  The cumsum
 #: tensor is float32, so 4M floats ~= 16 MB per (chunk, n, k) block.
 _SPLIT_BUDGET_FLOATS = 4_000_000
@@ -260,15 +280,7 @@ class RegressionTree(Regressor):
         )
         self._adopt_grown(trees[0], d, k)
         if timing:
-            obs.counter("tree.fits")
-            obs.counter("tree.nodes", stats.nodes)
-            obs.counter("tree.hist_nodes", stats.nodes)
-            obs.counter("tree.hist_subtractions", stats.hist_subtractions)
-            obs.counter("tree.rows_partitioned", stats.rows_partitioned)
-            obs.observe("tree.hist_build_s", stats.build_s)
-            obs.observe("tree.scan_s", stats.scan_s)
-            obs.observe("tree.partition_s", stats.partition_s)
-            obs.observe("tree.leaf_s", stats.leaf_s)
+            stats.emit(1)
             obs.observe("tree.fit_s", time.perf_counter() - t_fit)
         return self
 
@@ -430,14 +442,9 @@ class RegressionTree(Regressor):
             frontier = np.concatenate([left[parents], right[parents]])
         return depth
 
+    def _leaf_index(self, X: np.ndarray) -> np.ndarray:
+        """Leaf node id of each row of *X*."""
+        return leaf_index(self._feature, self._threshold, self._left, self._right, X)
+
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        # Vectorized traversal: advance all rows one level per iteration.
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        active = self._feature[node] >= 0
-        while np.any(active):
-            rows = np.nonzero(active)[0]
-            nid = node[rows]
-            go_left = X[rows, self._feature[nid]] <= self._threshold[nid]
-            node[rows] = np.where(go_left, self._left[nid], self._right[nid])
-            active[rows] = self._feature[node[rows]] >= 0
-        return self._value[node]
+        return self._value[self._leaf_index(X)]

@@ -41,9 +41,10 @@ __all__ = [
 KINDS = ("model", "representation")
 
 #: Registered moment-recovery assumptions for percentile-only probes
-#: (see :mod:`repro.core.sketch`).  Not a registry *kind* — assumptions
-#: are closed-set strategy names, not instantiable components — but
-#: validated here so config errors carry did-you-mean hints.
+#: (see :mod:`repro.core.sketch`, which re-exports this tuple).  Not a
+#: registry *kind* — assumptions are closed-set strategy names, not
+#: instantiable components — but validated here (:func:`assumption`, the
+#: one validator) so config errors carry did-you-mean hints.
 ASSUMPTIONS = ("lognormal", "pearson")
 
 

@@ -637,8 +637,14 @@ def pearson_system(
         base = _Normal()
         ptype = 0
 
-    mirror = ptype in (3, 5, 6) and skew < 0.0
     base_mean, base_var = base.stats_mv()
+    if ptype == 4 and not base_var > 0.0:
+        # Just inside the type-V line with small skew, Heinrich's m is
+        # so large that the theta grid holds the whole density in one
+        # cell; the member there is all but normal.
+        base, ptype = _Normal(), 0
+        base_mean, base_var = base.stats_mv()
+    mirror = ptype in (3, 5, 6) and skew < 0.0
     base_std = np.sqrt(base_var)
     if not np.isfinite(base_std) or base_std <= 0.0:
         raise ReconstructionError(

@@ -167,15 +167,19 @@ class TestWorkerDeterminism:
         rf_like = KNNRegressor(3, metric="cosine")
         rf_like.rng = np.random.default_rng(0)
         assert _wants_serial(rf_like) is True
-        # Hist boosting with row subsampling needs the float64 rows.
-        assert _wants_serial(GradientBoostingRegressor(2, subsample=0.5, tree_method="hist"))
+        # Hist boosting fits from the binned codes alone, row
+        # subsampling included; only a stateful generator keeps a model
+        # serial.
+        assert not _wants_serial(GradientBoostingRegressor(2, subsample=0.5, tree_method="hist"))
         assert not _wants_serial(GradientBoostingRegressor(2, tree_method="hist"))
-        assert not _wants_serial(GradientBoostingRegressor(2, subsample=0.5))
+        assert _wants_serial(
+            GradientBoostingRegressor(2, rng=np.random.default_rng(0), tree_method="hist")
+        )
 
     def test_generator_seeded_boosting_stays_serial(self, small_intel):
-        # A stateful Generator keeps even lockstep-capable hist boosting
-        # on the in-process fallback: results and the generator's final
-        # state do not depend on n_workers.
+        # A stateful Generator keeps even otherwise lockstep-capable hist
+        # boosting in-process, one fold per task: results and the
+        # generator's final state do not depend on n_workers.
         rep = PearsonRndRepresentation()
         design = FewRunsDesign(small_intel, n_probe_runs=8, n_replicas=2)
         X, Y, groups = design.rows(rep)
@@ -243,6 +247,26 @@ class TestHistEngine:
             assert list(vectors) == list(per_fold), n_workers
             for bench in per_fold:
                 assert np.array_equal(vectors[bench], per_fold[bench]), (n_workers, bench)
+
+    def test_row_subsampled_boosting_is_worker_independent(self, small_intel):
+        # Row subsampling runs the lockstep on the pool like any seeded
+        # hist boosting; the digest was recorded when these folds were
+        # fitted serially from the float64 rows.
+        import hashlib
+
+        X, Y, groups, probes, _ = self._lockstep_case(small_intel)
+        model = GradientBoostingRegressor(
+            10, max_depth=3, subsample=0.5, colsample_bytree=0.5, rng=7,
+            tree_method="hist",
+        )
+        runs = [
+            logo_fold_vectors(X, Y, groups, probes, model, n_workers=n_workers)
+            for n_workers in (1, 2)
+        ]
+        for vectors in runs:
+            stacked = np.stack([vectors[bench] for bench in sorted(vectors)])
+            digest = hashlib.sha256(stacked.tobytes()).hexdigest()[:16]
+            assert digest == "307a592d6a14d2d8"
 
     @pytest.mark.parametrize("n_workers", [2, 6])
     def test_pooled_lockstep_sends_one_task_per_worker(

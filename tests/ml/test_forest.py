@@ -64,15 +64,25 @@ class TestRandomForest:
         assert np.allclose(m.predict(X), 5.0)
 
 
-class TestTreeLevelParallelism:
-    def test_n_jobs_does_not_change_predictions(self, rng):
+class TestTreeStreams:
+    def test_fit_order_does_not_change_trees(self, rng):
+        # Each tree is a pure function of its spawned seed stream, so
+        # fitting the members in reverse reproduces the forest.
+        from repro.ml.forest import _fit_one_tree
+
         X = np.asarray(rng.normal(size=(120, 6)))
         y = rng.normal(size=(120, 3))
         Xt = rng.normal(size=(15, 6))
-        serial = RandomForestRegressor(8, rng=42, n_jobs=1).fit(X, y).predict(Xt)
-        threaded = RandomForestRegressor(8, rng=42, n_jobs=2).fit(X, y).predict(Xt)
-        assert np.array_equal(serial, threaded)
+        forest = RandomForestRegressor(8, rng=42).fit(X, y)
+        gen = np.random.default_rng(42)
+        seeds = np.random.SeedSequence(gen.integers(0, 2**63 - 1)).spawn(8)
+        params = {"max_depth": None, "min_samples_split": 2,
+                  "min_samples_leaf": 1, "max_features": "sqrt"}
+        trees = [_fit_one_tree(X, y, params, True, seq) for seq in seeds[::-1]]
+        for member, tree in zip(forest.trees_, trees[::-1]):
+            assert np.array_equal(member._predict(Xt), tree._predict(Xt))
 
-    def test_n_jobs_survives_clone(self):
-        m = RandomForestRegressor(4, rng=0, n_jobs=3)
-        assert m.clone().n_jobs == 3
+    def test_no_tree_level_jobs(self):
+        with pytest.raises(TypeError):
+            RandomForestRegressor(4, rng=0, n_jobs=2)
+        assert "n_jobs" not in RandomForestRegressor(4).clone().get_params()

@@ -11,6 +11,8 @@ one-at-a-time equivalents on arbitrary real-valued targets.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.ml.binning import BinMapper
@@ -191,23 +193,126 @@ class TestBoostingLockstep:
         b = GradientBoostingRegressor(**params).fit_binned(binned, Y)
         np.testing.assert_array_equal(a.predict(X), b.predict(X))
 
-    def test_fit_binned_rejects_row_subsampling(self):
-        binned = BinMapper().fit_transform(np.zeros((6, 2)))
-        model = GradientBoostingRegressor(2, subsample=0.5, tree_method="hist")
-        with pytest.raises(ValidationError):
-            model.fit_binned(binned, np.zeros(6))
+    def test_fit_binned_matches_fit_with_row_subsampling(self):
+        # Rows outside a round's draw follow their bin codes, so the
+        # X-free fit needs no raw matrix for row subsampling either.
+        r = np.random.default_rng(4)
+        X = r.normal(size=(40, 6))
+        Y = r.normal(size=(40, 2))
+        binned = BinMapper().fit_transform(X)
+        params = dict(
+            n_estimators=6, max_depth=3, subsample=0.5, rng=5,
+            tree_method="hist",
+        )
+        a = GradientBoostingRegressor(**params).fit(X, Y, binned=binned)
+        b = GradientBoostingRegressor(**params).fit_binned(binned, Y)
+        np.testing.assert_array_equal(a.predict(X), b.predict(X))
 
     def test_can_lockstep_gating(self):
         masks = [np.array([True, True, False]), np.array([False, True, True])]
         hist = GradientBoostingRegressor(2, tree_method="hist")
         exact = GradientBoostingRegressor(2)
         sub = GradientBoostingRegressor(2, subsample=0.5, tree_method="hist")
+        stateful = GradientBoostingRegressor(
+            2, rng=np.random.default_rng(0), tree_method="hist"
+        )
         assert can_lockstep(hist, masks)
+        assert can_lockstep(sub, masks)
         assert not can_lockstep(exact, masks)
-        assert not can_lockstep(sub, masks)
+        assert not can_lockstep(stateful, masks)
         uneven = [np.array([True, True, False]), np.array([False, False, True])]
         assert not can_lockstep(hist, uneven)
         assert not can_lockstep(RandomForestRegressor(2, tree_method="hist"), masks)
+
+
+def _replay_fold(est, Xs, Yf, fb, xp):
+    """One fold boosted with the kernel unfused: caller-side Newton
+    leaves, and every row's running prediction advanced through
+    ``tree._predict`` on the scaled float64 rows."""
+    gen = np.random.default_rng(est.rng)
+    m, d = Xs.shape
+    k = Yf.shape[1]
+    n_rows = max(1, int(round(est.subsample * m)))
+    n_cols = max(1, int(round(est.colsample_bytree * d)))
+    base = Yf.mean(axis=0)
+    current = np.tile(base, (m, 1))
+    out = base.copy()
+    for _ in range(est.n_estimators):
+        rows = (
+            gen.choice(m, size=n_rows, replace=False) if n_rows < m
+            else np.arange(m)
+        )
+        cols = (
+            np.sort(gen.choice(d, size=n_cols, replace=False)) if n_cols < d
+            else np.arange(d)
+        )
+        resid = Yf - current
+        (g,), _ = grow_trees(
+            fb.take_features(cols), resid.astype(np.float32), resid.copy(),
+            [TreeSpec(rows=rows)], n_cand=cols.size, max_depth=est.max_depth,
+            min_samples_split=2, min_samples_leaf=1,
+        )
+        lids = g.leaf_of_row[rows]
+        sums = np.zeros((g.feature.size, k))
+        counts = np.zeros(g.feature.size)
+        np.add.at(sums, lids, resid[rows])
+        np.add.at(counts, lids, 1.0)
+        leaves = counts > 0
+        g.value[leaves] = sums[leaves] / (counts[leaves] + est.reg_lambda)[:, None]
+        tree = RegressionTree(tree_method="hist")
+        tree._adopt_grown(g, cols.size, k)
+        current += est.learning_rate * tree._predict(Xs[:, cols])
+        out += est.learning_rate * tree._predict(xp[None, cols])[0]
+    return out
+
+
+class TestBoostingLoopProperties:
+    """Over random fold layouts, the fold lockstep equals each fold's
+    solo fit, and both equal a replay that walks the raw rows."""
+
+    @given(
+        n_groups=st.integers(2, 5),
+        rows_per=st.integers(2, 12),
+        d=st.integers(1, 8),
+        k=st.integers(1, 3),
+        ties=st.booleans(),
+        subsample=st.sampled_from([1.0, 0.8, 0.5, 0.3]),
+        colsample=st.sampled_from([1.0, 0.5]),
+        max_depth=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lockstep_solo_and_replay_agree(
+        self, n_groups, rows_per, d, k, ties, subsample, colsample,
+        max_depth, seed,
+    ):
+        r = np.random.default_rng(seed)
+        n = n_groups * rows_per
+        X = (r.integers(0, 4, size=(n, d)).astype(np.float64) if ties
+             else r.normal(size=(n, d)))
+        Y = r.normal(size=(n, k))
+        groups = np.repeat(np.arange(n_groups), rows_per)
+        binned = BinMapper().fit_transform(X)
+        est = GradientBoostingRegressor(
+            5, learning_rate=0.3, max_depth=max_depth, subsample=subsample,
+            colsample_bytree=colsample, rng=seed, tree_method="hist",
+        )
+        folds = []
+        for g in range(n_groups):
+            mask = groups != g
+            scaler = RobustScaler().fit(X[mask])
+            xp = scaler.transform(r.normal(size=(1, d)))[0]
+            folds.append((mask, scaler.center_, scaler.scale_, xp))
+        joint = fit_predict_folds(est, binned, Y, folds)
+        scaler = RobustScaler()
+        for (mask, center, scale, xp), vector in zip(folds, joint):
+            scaler.center_, scaler.scale_ = center, scale
+            Xs = scaler.transform(X[mask])
+            fb = binned.scaled(center, scale).take_rows(mask)
+            solo = est.clone().fit_binned(fb, Y[mask]).predict(xp[None, :])[0]
+            replay = _replay_fold(est, Xs, Y[mask], fb, xp)
+            np.testing.assert_array_equal(vector, solo)
+            np.testing.assert_array_equal(vector, replay)
 
 
 def _node_entries(codes, rows):
@@ -278,6 +383,45 @@ class TestHistogramSubtraction:
                 )
         tol = 16 * np.finfo(np.float32).eps * (abs_cell + 1.0)
         assert np.all(np.abs(sum_s[1] - sum_d[0]) <= tol)
+
+    def test_single_segment_keeps_raw_histogram(self):
+        # One node scored on one feature: the histogram retained for
+        # sibling subtraction must be the raw per-bin sums it gets when
+        # scored next to another node, not their prefix scan.
+        r = np.random.default_rng(5)
+        n, B = 40, 4
+        codes = r.integers(0, B, size=(n, 1)).astype(np.uint8)
+        y32 = r.normal(size=(n, 2)).astype(np.float32)
+        rows = np.arange(n)
+        _, alone, _ = self._histograms(codes, y32, [rows], B)
+        _, batched, _ = self._histograms(codes, y32, [rows, rows[::2]], B)
+        np.testing.assert_array_equal(alone[0], batched[0])
+
+    def test_single_feature_tree_ignores_its_batch(self):
+        # Sibling subtraction below a lone single-feature root must use
+        # the raw root histogram, so the tree equals itself grown next
+        # to another tree (a fixture on which the split below the root
+        # moves when the retained root histogram is prefix-scanned).
+        r = np.random.default_rng(10)
+        n, B = 64, 4
+        codes = r.integers(0, B, size=(n, 1)).astype(np.uint8)
+        binned = BinMapper().fit_transform(codes.astype(np.float64))
+        y = r.normal(size=(n, 1))
+
+        def grow(specs):
+            grown, _ = grow_trees(
+                binned, y.astype(np.float32), y.copy(), specs, n_cand=1,
+                max_depth=3, min_samples_split=2, min_samples_leaf=1,
+            )
+            return grown[0]
+
+        alone = grow([TreeSpec(rows=np.arange(32))])
+        batched = grow([TreeSpec(rows=np.arange(32)),
+                        TreeSpec(rows=np.arange(32, 64))])
+        for name in ("feature", "bin_left", "bin_right", "value"):
+            np.testing.assert_array_equal(
+                getattr(alone, name), getattr(batched, name)
+            )
 
     def test_integer_targets_subtract_bitwise(self):
         r = np.random.default_rng(9)

@@ -11,11 +11,12 @@ finite draws — or raise a typed :class:`MomentError` /
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MomentError, ReconstructionError
-from repro.stats.pearson import pearson_system
+from repro.stats.pearson import classify_pearson, pearson_system
 
 from test_pearson_digests import type5_kurt
 
@@ -114,3 +115,50 @@ def test_type_vi_ends(mean, std, skew, sign, frac):
     gamma_line = 1.5 * skew * skew + 3.0
     kurt = gamma_line + frac * (float(type5_kurt(skew)) - gamma_line)
     check(mean, std, sign * skew, kurt)
+
+
+def kappa_kurt(skew: float, kappa: float) -> float:
+    """Kurtosis at Pearson criterion *kappa* for *skew* (type IV for
+    ``0 < kappa < 1``): the larger root of ``c1**2 == 4*kappa*c0*c2``,
+    ``(32*kappa - s2)*k**2 - (72*kappa*s2 + 96*kappa + 6*s2)*k
+    + 36*kappa*s2**2 + 72*kappa*s2 - 9*s2 == 0``."""
+    s2 = skew * skew
+    qa = 32.0 * kappa - s2
+    qb = -(72.0 * kappa * s2 + 96.0 * kappa + 6.0 * s2)
+    qc = 36.0 * kappa * s2 * s2 + 72.0 * kappa * s2 - 9.0 * s2
+    return (-qb + np.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa)
+
+
+@given(
+    mean=means,
+    std=stds,
+    skew=st.floats(-0.3, 0.3, allow_nan=False).filter(lambda s: abs(s) > 1e-6),
+    log_gap=st.floats(np.log(1.6e-8), np.log(1e-4), allow_nan=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_type_iv_next_to_type_v(mean, std, skew, log_gap):
+    """1 - kappa in (1.6e-8, 1e-4): type IV so close to the type-V line
+    that the theta grid can hold the whole density in one cell.  Every
+    point builds a usable member; none raises."""
+    kurt = float(kappa_kurt(skew, 1.0 - np.exp(log_gap)))
+    # With a tiny skew the root's rounding can land on the type-V line.
+    assume(classify_pearson(skew, kurt) == 4)
+    dist = pearson_system(mean, std, skew, kurt)
+    assert np.isfinite(dist._loc), dist
+    assert np.isfinite(dist._scale) and dist._scale != 0.0, dist
+    assert np.isfinite(dist.rvs(64, random_state=np.random.default_rng(0))).all()
+
+
+def test_degenerate_type_iv_grid_retreats_to_the_normal():
+    """Two vectors whose theta grid holds the whole density in one cell
+    (variance 0), which raised ``invalid std 0.0`` and failed a whole
+    served batch group: they get the normal with the requested mean and
+    std."""
+    for skew, kurt in [
+        (-0.14303271945041016, 3.0383986755944075),
+        (0.0373593976682568, 3.0026171662782537),
+    ]:
+        assert classify_pearson(skew, kurt) == 4
+        dist = pearson_system(1.0, 0.05, skew, kurt)
+        assert dist.pearson_type == 0
+        assert dist._loc == pytest.approx(1.0) and dist._scale == pytest.approx(0.05)
