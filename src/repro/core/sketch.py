@@ -12,9 +12,9 @@ count).  This module is the representation-layer bridge between the two:
   predictors need, under an explicit, selectable distributional
   **assumption**:
 
-  - ``"lognormal"`` — the same p50/p99 closed form the fleet's
-    :class:`~repro.serving.fleet.admission.KingmanAdmission` gate uses
-    (shared implementation in :mod:`repro.stats.lognormal`);
+  - ``"lognormal"`` — the percentile closed forms the fleet's
+    :class:`~repro.serving.fleet.admission.KingmanAdmission` gate also
+    uses (shared implementation in :mod:`repro.stats.lognormal`);
   - ``"pearson"`` — distribution-agnostic: moments are integrated from
     the piecewise-linear quantile reconstruction and projected into the
     Pearson-feasible region.
@@ -96,11 +96,17 @@ def _piecewise_linear_moments(levels: np.ndarray, values: np.ndarray) -> MomentV
     du = np.diff(u)
     v0, v1 = v[:-1], v[1:]
     raw = np.zeros(4, dtype=np.float64)
-    for k in range(1, 5):
-        # ∫ of a linear segment raised to k, written without dividing by
-        # its rise so flat segments need no special case.
-        seg = sum(v0**j * v1 ** (k - j) for j in range(k + 1)) / (k + 1) * du
-        raw[k - 1] = float(seg.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for k in range(1, 5):
+            # ∫ of a linear segment raised to k, written without dividing
+            # by its rise so flat segments need no special case.
+            seg = sum(v0**j * v1 ** (k - j) for j in range(k + 1)) / (k + 1) * du
+            raw[k - 1] = float(seg.sum())
+    if not np.isfinite(raw).all():
+        raise ValidationError(
+            "sketch values spread too far for moment recovery: their "
+            "fourth powers overflow float64"
+        )
     e1, e2, e3, e4 = raw
     mean = float(values[0] + e1)
     m2 = e2 - e1 * e1
@@ -109,8 +115,11 @@ def _piecewise_linear_moments(levels: np.ndarray, values: np.ndarray) -> MomentV
     if m2 <= 0.0:
         return MomentVector(mean, 0.0, 0.0, 3.0)
     std = float(np.sqrt(m2))
-    skew = float(m3 / m2**1.5)
-    kurt = float(m4 / (m2 * m2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # A spread so tight that m2**1.5 underflows gives 0/0 here; the
+        # projection maps a non-finite skew or kurtosis to the normal's.
+        skew = float(m3 / m2**1.5)
+        kurt = float(m4 / (m2 * m2))
     return MomentVector(*nearest_feasible(mean, std, skew, kurt))
 
 
@@ -224,8 +233,11 @@ class QuantileSketch:
 
         The merged sketch summarizes the pooled run set: its CDF is the
         run-count-weighted mixture of the two piecewise-linear CDFs,
-        inverted back at the common levels.  Deterministic, associative
-        up to interpolation error, and exact for identical inputs.
+        inverted back at the common levels.  Deterministic, exact for
+        identical inputs, and commutative bit for bit (the mixture
+        ``(n1·F1 + n2·F2)/(n1 + n2)`` is symmetric in floating point).
+        Not associative: the result keeps only its levels' values, so
+        a further merge interpolates between them.
         """
         if not isinstance(other, QuantileSketch):
             raise ValidationError(
@@ -241,20 +253,25 @@ class QuantileSketch:
         grid = np.union1d(self.values, other.values)
         f1 = np.interp(grid, self.values, self.levels, left=0.0, right=1.0)
         f2 = np.interp(grid, other.values, other.levels, left=0.0, right=1.0)
-        w1 = self.n_runs / (self.n_runs + other.n_runs)
-        mix = w1 * f1 + (1.0 - w1) * f2
+        mix = (self.n_runs * f1 + other.n_runs * f2) / (self.n_runs + other.n_runs)
         # Invert the mixture CDF at the common levels; accumulate keeps
-        # the result monotone through interpolation ties.
-        merged = np.interp(self.levels, mix, grid)
-        merged = np.maximum.accumulate(merged)
+        # the result monotone through interpolation ties.  A mixture's
+        # quantile lies between its components' quantiles; the clip
+        # holds that against the mixture weights' rounding (and keeps
+        # identical inputs exact).
+        merged = np.maximum.accumulate(np.interp(self.levels, mix, grid))
+        merged = np.clip(
+            merged,
+            np.minimum(self.values, other.values),
+            np.maximum(self.values, other.values),
+        )
         return QuantileSketch(self.levels, merged, self.n_runs + other.n_runs)
 
     def lognormal_fit(self) -> tuple[float, float]:
         """``(mu, sigma)`` of the lognormal pinned by this sketch.
 
-        Uses the exact p50/p99 closed form when both levels are present
-        (bit-identical to the admission gate's estimator), else a
-        least-squares fit through all levels.
+        Uses the exact p50/p99 closed form when both levels are present,
+        else a least-squares fit through all levels.
         """
         return fit_lognormal(self.levels, self.values)
 

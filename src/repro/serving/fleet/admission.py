@@ -18,14 +18,17 @@ queue bound admits deep into the knee on variable workloads and sheds
 needlessly on uniform ones.
 
 :class:`KingmanAdmission` instead tracks a sliding window of measured
-service times and *admitted* arrival timestamps and sheds load (429)
-when the *predicted* normalized wait ρ/(1−ρ)·(Ca²+Cs²)/2 exceeds a
-configured wait budget ``knee`` (in units of mean service times), or
-when ρ crosses a hard cap ``rho_max``.  λ̂ deliberately measures
-admitted load, not offered load: shed requests (including client
-retries of them) never enter the window, and the decision-time rate
-estimate spans to the current clock, so sustained shedding decays ρ
-and the gate recovers instead of latching shut.  The shed threshold in ρ terms — the
+service times, *offered* arrival timestamps (for Ca²) and *admitted*
+arrival timestamps (for λ̂), and sheds load (429) when the *predicted*
+normalized wait ρ/(1−ρ)·(Ca²+Cs²)/2 exceeds a configured wait budget
+``knee`` (in units of mean service times), or when ρ crosses a hard
+cap ``rho_max``.  λ̂ deliberately measures admitted load, not offered
+load: shed requests (including client retries of them) never enter
+its window, and the decision-time rate estimate spans to the current
+clock, so sustained shedding decays ρ and the gate recovers instead of
+latching shut.  Ca², by contrast, is measured over offered arrivals:
+the admitted stream is the offered one thinned by the gate itself, and
+that thinning is bursty.  The shed threshold in ρ terms — the
 documented "Kingman knee" — is therefore
 
     ρ*  =  2·knee / (2·knee + Ca² + Cs²)
@@ -34,25 +37,29 @@ documented "Kingman knee" — is therefore
 
 **The explicit lognormal assumption.**  Production telemetry usually
 exports percentiles, not full samples, and percentiles carry no
-distribution-free variance information: estimating Cs² from p50/p99
+distribution-free variance information: estimating moments from them
 *requires* a modeling assumption.  Following the practical appendix in
 SNIPPETS.md (emcrisostomo/latency-simulation), the estimator assumes
 service times are **log-normal** — positive support, right skew,
-moderate tails — under which p50 = exp(μ) and p99 = exp(μ + z₉₉·σ), so
+moderate tails — under which p50 = exp(μ) and p90 = exp(μ + z₉₀·σ), so
 
-    σ_ln = ln(p99/p50) / z₉₉        (z₉₉ = Φ⁻¹(0.99) ≈ 2.3263)
-    Cs²  = exp(σ_ln²) − 1
+    σ_ln  = ln(p90/p50) / z₉₀        (z₉₀ = Φ⁻¹(0.90) ≈ 1.2816)
+    E[S]  = p50 · exp(σ_ln²/2)
+    Cs²   = exp(σ_ln²) − 1
 
-The formulas are implemented once, in :mod:`repro.stats.lognormal`, and
-shared with the percentile-only probe path
-(:class:`~repro.core.sketch.QuantileSketch` recovers model features
-from telemetry percentiles under the same assumption).
-
-The gate applies this estimator to its own *measured* window (via the
-window's empirical p50/p99) because it is robust to the stray
-multi-second outlier that would dominate a raw-moment Var(S)/E[S]²
-estimate.  Confusing Cs with Cs² systematically underestimates waiting
-— everything here is the *squared* coefficient.
+Both E[S] (for ρ and the wait budget) and Cs² come from the window's
+empirical p50/p90, never from its raw mean or its maximum.  With linear
+interpolation over n sorted samples, p90 reads positions
+⌊0.9·(n−1)⌋ and the one above, which stay below the window's top
+sample for every n ≥ 11: one stall, however long, can move either
+percentile by at most one rank, so it cannot inflate E[S] or Cs² and
+shed the requests behind it.  (A window mean, or a p99 over fewer than
+about 100 samples, mixes the maximum in.)  The formulas are
+implemented once, in :mod:`repro.stats.lognormal`, and shared with the
+percentile-only probe path (:class:`~repro.core.sketch.QuantileSketch`
+recovers model features from telemetry percentiles under the same
+assumption).  Confusing Cs with Cs² systematically underestimates
+waiting — everything here is the *squared* coefficient.
 
 Metrics: ``fleet.rho`` / ``fleet.cs2`` gauges track the latest window
 estimates, ``fleet.shed`` counts refusals, and ``fleet.service_s`` is
@@ -62,19 +69,20 @@ the measured service-time histogram (contract in
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import pairwise
+from typing import NamedTuple
 
 from ... import obs
 from ...errors import ValidationError
 
 # The percentile→moment math is shared with QuantileSketch, which
-# recovers model features from the same p50/p99 formulas.
-from ...stats.lognormal import cs2_from_percentiles
+# recovers model features under the same lognormal assumption.
+from ...stats.lognormal import Z90, sigma_from_quantiles
 
 __all__ = ["AdmissionConfig", "AdmissionSnapshot", "KingmanAdmission"]
 
@@ -135,6 +143,7 @@ class AdmissionSnapshot:
     cs2: float
     mean_service_s: float
     p50_service_s: float
+    p90_service_s: float
     p99_service_s: float
     wait_s: float
     wait_budget_s: float
@@ -151,6 +160,7 @@ class AdmissionSnapshot:
             "cs2": self.cs2,
             "mean_service_s": self.mean_service_s,
             "p50_service_s": self.p50_service_s,
+            "p90_service_s": self.p90_service_s,
             "p99_service_s": self.p99_service_s,
             "wait_s": self.wait_s,
             "wait_budget_s": self.wait_budget_s,
@@ -159,6 +169,55 @@ class AdmissionSnapshot:
             "admitted": self.admitted,
             "shed": self.shed,
         }
+
+
+#: Largest argument ``math.exp`` takes without overflowing, rounded down.
+_MAX_EXPONENT = 709.0
+
+
+def _percentile(ordered: list[float], q: float) -> float:
+    """``np.percentile(ordered, 100 * q)`` of a sorted list, bit for bit.
+
+    NumPy's default (linear) method: virtual index ``(n − 1)·q``, and
+    its two-sided lerp, which interpolates from the nearer neighbour.
+    """
+    index = (len(ordered) - 1) * q
+    lo = int(index)
+    if lo >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[lo], ordered[lo + 1]
+    frac = index - lo
+    if frac >= 0.5:
+        return b - (b - a) * (1.0 - frac)
+    return a + (b - a) * frac
+
+
+class _ServiceEstimate(NamedTuple):
+    """Service-window percentiles and the lognormal E[S]/Cs² they imply."""
+
+    p50: float
+    p90: float
+    p99: float
+    mean_s: float
+    cs2: float
+
+
+def _estimate_service(ordered: list[float]) -> _ServiceEstimate | None:
+    """Estimate from the sorted window (None below two samples)."""
+    if len(ordered) < 2:
+        return None
+    p50 = _percentile(ordered, 0.5)
+    p90 = _percentile(ordered, 0.9)
+    p99 = _percentile(ordered, 0.99)
+    if p50 <= 0.0:
+        # Most requests took no measurable time: no lognormal fits, and
+        # there is no load to estimate.
+        return _ServiceEstimate(p50, p90, p99, 0.0, 0.0)
+    sigma = sigma_from_quantiles(p50, p90, Z90)
+    # σ² stops where exp(σ²) would overflow (p90/p50 beyond ~e³⁴):
+    # such a window still reads as enormous E[S] and Cs², and sheds.
+    s2 = min(sigma * sigma, _MAX_EXPONENT)
+    return _ServiceEstimate(p50, p90, p99, p50 * math.exp(s2 / 2.0), math.expm1(s2))
 
 
 class KingmanAdmission:
@@ -172,23 +231,58 @@ class KingmanAdmission:
     A *clock* callable may be injected (default ``time.monotonic``) so
     tests can drive arrivals at exact rates and assert deterministic
     shed decisions at forced ρ/Cs² values.
+
+    Every estimate is maintained incrementally: ``observe`` keeps the
+    service window sorted and refreshes its percentiles, E[S] and Cs²
+    once per completion; ``admit`` keeps a running sum of squared
+    interarrival gaps, so a decision costs O(1) instead of a pass over
+    both windows.
     """
 
     def __init__(self, config: AdmissionConfig | None = None, *, clock=None) -> None:
         """Create an admission gate with the given tunables."""
         self.config = config or AdmissionConfig()
         self._clock = clock if clock is not None else time.monotonic
-        self._service_s: deque[float] = deque(maxlen=self.config.window)
-        self._arrivals: deque[float] = deque(maxlen=self.config.window)
+        window = self.config.window
+        self._service_s: deque[float] = deque(maxlen=window)
+        self._ordered: list[float] = []  # the service window, sorted
+        self._service: _ServiceEstimate | None = None
+        self._offered: deque[float] = deque(maxlen=window)
+        self._gap_sq = 0.0  # Σ gap² over the offered window
+        self._admitted_at: deque[float] = deque(maxlen=window)
+        self._decision: AdmissionSnapshot | None = None
         self._admitted = 0
         self._shed = 0
 
     def observe(self, service_s: float) -> None:
         """Record one measured service time (seconds of actual work)."""
-        if service_s < 0.0:
-            raise ValidationError("service_s must be >= 0")
-        self._service_s.append(float(service_s))
-        obs.observe("fleet.service_s", float(service_s))
+        if not 0.0 <= service_s < math.inf:
+            raise ValidationError("service_s must be finite and >= 0")
+        value = float(service_s)
+        window, ordered = self._service_s, self._ordered
+        if len(window) == window.maxlen:
+            del ordered[bisect.bisect_left(ordered, window[0])]
+        window.append(value)
+        bisect.insort(ordered, value)
+        self._service = _estimate_service(ordered)
+        obs.observe("fleet.service_s", value)
+
+    def _offer(self, now: float) -> None:
+        """Enter one offered arrival into the Ca² window."""
+        times = self._offered
+        if len(times) == times.maxlen:
+            first = times.popleft()
+            dropped = times[0] - first
+            self._gap_sq -= dropped * dropped
+            if dropped * dropped > self._gap_sq:
+                # The gap leaving held most of the sum (say, an idle
+                # hour): subtracting it left mostly rounding error, so
+                # re-add the gaps that stay.
+                self._gap_sq = math.fsum((b - a) * (b - a) for a, b in pairwise(times))
+        if times:
+            gap = now - times[-1]
+            self._gap_sq += gap * gap
+        times.append(now)
 
     def _arrival_rate(self, now: float | None = None) -> float:
         """λ̂: *admitted* arrivals per second over the current window.
@@ -201,38 +295,46 @@ class KingmanAdmission:
         nothing admitted decays λ̂ and ρ, and the gate recovers instead
         of latching shut under a client retry storm.
         """
+        times = self._admitted_at
         if now is not None:
-            if not self._arrivals:
+            if not times:
                 return 0.0
-            elapsed = now - self._arrivals[0]
+            elapsed = now - times[0]
             if elapsed <= 0.0:
                 return math.inf
-            return len(self._arrivals) / elapsed
-        if len(self._arrivals) < 2:
+            return len(times) / elapsed
+        if len(times) < 2:
             return 0.0
-        elapsed = self._arrivals[-1] - self._arrivals[0]
+        elapsed = times[-1] - times[0]
         if elapsed <= 0.0:
             return math.inf
-        return (len(self._arrivals) - 1) / elapsed
+        return (len(times) - 1) / elapsed
 
     def _ca2(self) -> float:
-        """Ca² of interarrival times over the window (1.0 until measurable)."""
-        if len(self._arrivals) < 3:
-            return 1.0  # Poisson prior until interarrivals are measurable
-        gaps = np.diff(np.asarray(self._arrivals, dtype=np.float64))
-        mean = float(gaps.mean())
-        if mean <= 0.0:
-            return 1.0
-        return float(gaps.var() / (mean * mean))
+        """Ca² of *offered* interarrival times (1.0 until measurable).
 
-    def _cs2(self) -> float:
-        """Cs² of the service-time window under the lognormal assumption."""
-        samples = np.asarray(self._service_s, dtype=np.float64)
-        p50 = float(np.percentile(samples, 50))
-        p99 = float(np.percentile(samples, 99))
-        if p50 <= 0.0 or p99 < p50:
-            return 0.0  # degenerate window (all-zero timings): no variability
-        return cs2_from_percentiles(p50, p99)
+        Offered, not admitted: while the gate sheds, the admitted stream
+        is the offered one thinned by the gate's own decisions, and that
+        thinning makes it bursty — an admitted-arrival Ca² would hold
+        ρ* down and keep the gate shedding after the overload ends.
+        """
+        times = self._offered
+        n_gaps = len(times) - 1
+        if n_gaps < 2:
+            return 1.0  # Poisson prior until interarrivals are measurable
+        span = times[-1] - times[0]
+        if span <= 0.0:
+            return 1.0
+        # var/mean² with mean = span/n and var = Σgap²/n − mean²
+        # (span is divided out twice so that span² cannot underflow).
+        return max(n_gaps * (self._gap_sq / span) / span - 1.0, 0.0)
+
+    def _load(self, est: _ServiceEstimate, now: float | None) -> tuple[float, float, float]:
+        """``(ρ, Ca², ρ*)``: the numbers a shed decision compares."""
+        ca2 = self._ca2()
+        # E[S] = 0 is no load at any rate (and keeps ∞·0 out of ρ).
+        rho = min(self._arrival_rate(now) * est.mean_s, 1.0) if est.mean_s > 0.0 else 0.0
+        return rho, ca2, self.config.rho_knee(ca2, est.cs2)
 
     def snapshot(self, *, now: float | None = None) -> AdmissionSnapshot:
         """Current estimates, wait prediction, threshold, and counters.
@@ -240,19 +342,17 @@ class KingmanAdmission:
         *now* switches λ̂ to the decision-time form (candidate arrival
         included, elapsed measured to *now*) used by :meth:`admit`.
         """
-        n = len(self._service_s)
-        if n < 2:
+        est = self._service
+        if est is None:
             return AdmissionSnapshot(
                 rho=0.0, ca2=1.0, cs2=0.0, mean_service_s=0.0,
-                p50_service_s=0.0, p99_service_s=0.0, wait_s=0.0,
-                wait_budget_s=0.0, rho_knee=self.config.rho_max,
-                n_samples=n, admitted=self._admitted, shed=self._shed,
+                p50_service_s=0.0, p90_service_s=0.0, p99_service_s=0.0,
+                wait_s=0.0, wait_budget_s=0.0, rho_knee=self.config.rho_max,
+                n_samples=len(self._service_s), admitted=self._admitted,
+                shed=self._shed,
             )
-        samples = np.asarray(self._service_s, dtype=np.float64)
-        mean_s = float(samples.mean())
-        ca2 = self._ca2()
-        cs2 = self._cs2()
-        rho = min(self._arrival_rate(now) * mean_s, 1.0)
+        mean_s, cs2 = est.mean_s, est.cs2
+        rho, ca2, rho_knee = self._load(est, now)
         if rho < 1.0:
             wait_s = rho / (1.0 - rho) * (ca2 + cs2) / 2.0 * mean_s
         else:
@@ -262,12 +362,13 @@ class KingmanAdmission:
             ca2=ca2,
             cs2=cs2,
             mean_service_s=mean_s,
-            p50_service_s=float(np.percentile(samples, 50)),
-            p99_service_s=float(np.percentile(samples, 99)),
+            p50_service_s=est.p50,
+            p90_service_s=est.p90,
+            p99_service_s=est.p99,
             wait_s=wait_s,
             wait_budget_s=self.config.knee * mean_s,
-            rho_knee=self.config.rho_knee(ca2, cs2),
-            n_samples=n,
+            rho_knee=rho_knee,
+            n_samples=len(self._service_s),
             admitted=self._admitted,
             shed=self._shed,
         )
@@ -281,30 +382,36 @@ class KingmanAdmission:
         ρ ≥ ρ* = 2·knee/(2·knee + Ca² + Cs²), *before* the hyperbolic
         blow-up rather than after a queue has already formed.
 
-        Only *admitted* arrivals enter the λ̂ window: ρ then reflects
-        load actually entering the queue, so a retry storm of shed
-        requests cannot keep ρ pinned above ρ* — idle-while-shedding
-        time decays λ̂ (see :meth:`_arrival_rate`) and the gate reopens.
+        Every arrival enters the Ca² window, but only *admitted* ones
+        enter the λ̂ window: ρ then reflects load actually entering the
+        queue, so a retry storm of shed requests cannot keep ρ pinned
+        above ρ* — idle-while-shedding time decays λ̂ (see
+        :meth:`_arrival_rate`) and the gate reopens.
         """
         now = float(self._clock())
-        if len(self._service_s) < self.config.min_samples:
-            self._arrivals.append(now)
-            self._admitted += 1
-            return True
-        snap = self.snapshot(now=now)
-        obs.gauge("fleet.rho", snap.rho)
-        obs.gauge("fleet.cs2", snap.cs2)
-        if snap.rho >= snap.rho_knee:
-            self._shed += 1
-            obs.counter("fleet.shed")
-            return False
-        self._arrivals.append(now)
+        self._offer(now)
+        est = self._service
+        if est is not None and len(self._service_s) >= self.config.min_samples:
+            rho, _, rho_knee = self._load(est, now)
+            obs.gauge("fleet.rho", rho)
+            obs.gauge("fleet.cs2", est.cs2)
+            if rho >= rho_knee:
+                self._decision = self.snapshot(now=now)
+                self._shed += 1
+                obs.counter("fleet.shed")
+                return False
+        self._admitted_at.append(now)
         self._admitted += 1
         return True
 
     def describe(self) -> str:
-        """One-line human summary (used in 429 messages)."""
-        snap = self.snapshot()
+        """One-line summary of the latest shed (used in 429 messages).
+
+        It reports the decision-time snapshot :meth:`admit` shed on, not
+        a fresh :meth:`snapshot`, whose λ̂ is measured differently and
+        would contradict the decision.
+        """
+        snap = self._decision or self.snapshot()
         return (
             f"rho={snap.rho:.3f} >= rho*={snap.rho_knee:.3f} "
             f"(Cs2={snap.cs2:.2f}, Ca2={snap.ca2:.2f}, "

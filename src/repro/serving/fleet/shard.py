@@ -12,12 +12,14 @@ additions:
   leave — acknowledge, answer everything in flight, exit);
 * a startup handshake: the freshly bound port travels up the
   :class:`~repro.parallel.procs.SpawnedProcess` pipe before the parent
-  proceeds, so the router never races an unbound socket;
-* the sampler stack (``scipy.special``, the one module a request can
-  still import lazily) is loaded before the shard binds.  Its one-off
-  import takes about 0.2 s; paid on the first request that needs it
-  instead, the Kingman gate would read it as service time and shed the
-  requests behind it.
+  proceeds, so the router never races an unbound socket.
+
+A shard preloads nothing.  Pearson draws run on numpy alone; a request
+reaches ``scipy.special`` only through a type-V draw or a lognormal fit
+of a sketch without the 0.5/0.99 pair, and pays its one-off import
+(about 0.2 s and 17 MB) on first use.  The Kingman gate reads E[S] and
+Cs² from window percentiles that one slow request cannot reach, so that
+stall sheds nothing behind it.
 
 Shards hydrate models from the **shared content-addressed store** — the
 parent fits and saves once, shards only read — so any shard can serve
@@ -33,7 +35,6 @@ from __future__ import annotations
 import asyncio
 import os
 
-from ...stats.pearson import load_sampler_stack
 from ..registry import ModelRegistry
 from ..server import serve, shutdown_server
 from ..service import ServingConfig
@@ -100,13 +101,11 @@ def run_shard(
 ) -> None:
     """Process entry point (module-level for spawn picklability).
 
-    Loads the sampler stack, then runs one shard event loop to
-    completion; *conn* is the write end of the parent's handshake pipe
-    and receives one :func:`~repro.serving.fleet.messages.shard_ready`
-    payload.
+    Runs one shard event loop to completion; *conn* is the write end of
+    the parent's handshake pipe and receives one
+    :func:`~repro.serving.fleet.messages.shard_ready` payload.
     """
     try:
-        load_sampler_stack()
         asyncio.run(
             _shard_main(
                 conn, shard_id, store_root, serving_config, admission_config, host

@@ -7,8 +7,8 @@ home of the library's explicit **lognormal** assumption — positive
 support, right skew, moderate tails — used by two consumers:
 
 * :class:`~repro.serving.fleet.admission.KingmanAdmission`, which
-  estimates the service-time Cs² from its measured window's p50/p99
-  (the formulas historically lived there);
+  estimates the service-time E[S] and Cs² from its measured window's
+  p50/p90 (the formulas historically lived there);
 * :class:`~repro.core.sketch.QuantileSketch`, which recovers model
   features and full moment vectors from percentile-only probes.
 
@@ -22,8 +22,9 @@ pin both parameters::
 
 With more than two levels, :func:`fit_lognormal` least-squares the line
 ``ln(q_p) = mu + sigma * z_p`` through all of them — but keeps the exact
-p50/p99 closed form when exactly those two levels are available, so the
-sketch path is bit-identical to the admission gate's historical math.
+p50/p99 closed form when those two levels are available, bit-identical
+to :func:`cs2_from_percentiles`.  The admission gate fits the p50/p90
+pair of its window the same way (:func:`sigma_from_quantiles`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from ..errors import ValidationError
 from .moments import MomentVector
 
 __all__ = [
+    "Z90",
     "Z99",
+    "sigma_from_quantiles",
     "sigma_from_percentiles",
     "cs2_from_percentiles",
     "cs2_from_moments",
@@ -52,9 +55,27 @@ __all__ = [
 #: the exact two-point fit need no scipy import.
 Z99 = 2.3263478740408408
 
+#: z-score of the 90th percentile, Φ⁻¹(0.90), hardcoded for the same
+#: reason: the admission gate fits its window's p50/p90 pair.
+Z90 = 1.2815515655446004
+
 #: Tolerance for matching sketch levels against the canonical 0.5/0.99
 #: pair (levels are user-supplied floats; exact ``==`` would be fragile).
 _LEVEL_TOL = 1e-9
+
+
+def sigma_from_quantiles(p50: float, upper: float, z: float) -> float:
+    """Lognormal shape parameter from the median and one upper quantile.
+
+    ``sigma = ln(upper/p50) / z``, where *upper* is the quantile at
+    standard-normal score *z* > 0 (e.g. :data:`Z90`, :data:`Z99`).
+    """
+    if not (0.0 < p50 <= upper):
+        raise ValidationError(
+            f"percentiles must satisfy 0 < p50 <= upper, got p50={p50}, "
+            f"upper={upper}"
+        )
+    return math.log(upper / p50) / z
 
 
 def sigma_from_percentiles(p50: float, p99: float) -> float:
@@ -63,11 +84,7 @@ def sigma_from_percentiles(p50: float, p99: float) -> float:
     ``sigma = ln(p99/p50) / z99`` — the exact closed form when the two
     canonical percentiles are available.
     """
-    if not (0.0 < p50 <= p99):
-        raise ValidationError(
-            f"percentiles must satisfy 0 < p50 <= p99, got p50={p50}, p99={p99}"
-        )
-    return math.log(p99 / p50) / Z99
+    return sigma_from_quantiles(p50, p99, Z99)
 
 
 def cs2_from_percentiles(p50: float, p99: float) -> float:
@@ -105,8 +122,7 @@ def fit_lognormal(levels, values) -> tuple[float, float]:
     When the level set contains the canonical 0.5/0.99 pair (within
     tolerance), the exact two-point closed form is used — ``mu =
     ln(p50)``, ``sigma = ln(p99/p50)/z99`` — matching
-    :func:`cs2_from_percentiles` (and therefore the admission gate)
-    bit for bit.  Otherwise the line ``ln(q_p) = mu + sigma * z_p`` is
+    :func:`cs2_from_percentiles` bit for bit.  Otherwise the line ``ln(q_p) = mu + sigma * z_p`` is
     least-squares fitted through all levels.
 
     ``sigma`` is clamped to be non-negative (quantile values are

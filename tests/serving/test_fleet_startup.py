@@ -4,10 +4,8 @@
   still joins them in shard-id order;
 * a shard that fails its handshake fails the constructor with
   ``ProcessStartupError`` and leaves no process or router thread behind;
-* a shard has loaded the sampler stack (``scipy.special``) before it
-  reports ready, so no request behind its admission gate pays that
-  import, and sampling loads neither ``scipy.stats`` nor
-  ``scipy.optimize``.
+* a shard preloads no ``scipy`` subpackage: none is loaded at its
+  handshake, and sampling a pearsonrnd model loads none either.
 
 Shard targets are module-level because ``spawn`` pickles them.
 """
@@ -90,10 +88,10 @@ def test_failed_handshake_stops_every_shard_and_the_router(store_root, monkeypat
     assert leaked == []
 
 
-def test_shard_loads_the_sampler_stack_before_its_handshake(store_root, intel_small):
-    """A fresh-interpreter shard reports ready with ``scipy.special`` loaded
-    and ``scipy.stats``/``scipy.optimize`` not; sampling a pearsonrnd model
-    keeps those two out."""
+def test_shard_loads_no_scipy_subpackage_to_sample(store_root, intel_small):
+    """A fresh-interpreter shard reports ready with none of
+    ``scipy.special``, ``scipy.stats`` and ``scipy.optimize`` loaded, and
+    answering a pearsonrnd sampling request loads none of them."""
     request = predict_request(
         "uc1", intel_small["npb/cg"].subset(range(6)), n_samples=100
     )
@@ -142,7 +140,7 @@ def test_shard_loads_the_sampler_stack_before_its_handshake(store_root, intel_sm
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == {
-        "at_handshake": ["scipy.special"],
+        "at_handshake": [],
         "reply": [200, "PearsonRndRepresentation", True],
-        "after_sampling": ["scipy.special"],
+        "after_sampling": [],
     }

@@ -17,17 +17,24 @@ from repro.serving.fleet import admission
 
 
 class TestAdmissionEquivalence:
-    def test_gate_cs2_is_the_shared_percentile_formula(self):
-        # Bit-equal to the shared closed form on the window's p50/p99:
+    def test_gate_estimates_are_the_shared_percentile_formula(self):
+        # Bit-equal to the shared closed form on the window's p50/p90:
         # the gate must use this code, not a copy of it.
         gate = admission.KingmanAdmission(admission.AdmissionConfig(min_samples=2))
         times = [0.001 * (1 + k % 7) ** 1.5 for k in range(64)]
         for t in times:
             gate.observe(t)
-        p50, p99 = np.percentile(times, 50), np.percentile(times, 99)
-        cs2 = gate.snapshot().cs2
-        assert cs2 > 0.0
-        assert cs2 == ln.cs2_from_percentiles(float(p50), float(p99))
+        p50, p90 = float(np.percentile(times, 50)), float(np.percentile(times, 90))
+        sigma = ln.sigma_from_quantiles(p50, p90, ln.Z90)
+        snap = gate.snapshot()
+        assert snap.cs2 > 0.0
+        assert snap.cs2 == math.expm1(sigma * sigma)
+        assert snap.mean_service_s == p50 * math.exp(sigma * sigma / 2.0)
+
+    def test_z90_matches_normal_quantile(self):
+        from scipy.special import ndtri
+
+        assert ln.Z90 == pytest.approx(float(ndtri(0.9)), abs=1e-15)
 
     def test_z99_matches_normal_quantile(self):
         from scipy.special import ndtri
