@@ -46,7 +46,7 @@ from .core import (
 )
 from .simbench import benchmark_names, measure_all, run_campaign
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 #: The stable surface.  Components are looked up through
 #: :mod:`repro.registry`; the online serving subsystem lives in

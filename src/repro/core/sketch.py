@@ -330,35 +330,6 @@ class QuantileSketch:
         levels, values = self._padded()
         return np.interp(u, levels, values)
 
-    def to_wire(self) -> dict:
-        """JSON-safe dict form (plain floats round-trip float64 exactly)."""
-        return {
-            "levels": [float(x) for x in self.levels],
-            "values": [float(x) for x in self.values],
-            "n_runs": int(self.n_runs),
-        }
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "QuantileSketch":
-        """Inverse of :meth:`to_wire`, with full input validation."""
-        if not isinstance(payload, dict):
-            raise ValidationError("sketch must be a JSON object")
-        try:
-            levels = payload["levels"]
-            values = payload["values"]
-            n_runs = payload["n_runs"]
-        except KeyError as exc:
-            raise ValidationError(
-                f"sketch is missing field {exc.args[0]!r}"
-            ) from exc
-        if not isinstance(n_runs, int):
-            raise ValidationError("sketch n_runs must be an integer")
-        return cls(
-            levels=np.asarray(levels, dtype=np.float64),
-            values=np.asarray(values, dtype=np.float64),
-            n_runs=n_runs,
-        )
-
 
 @dataclass(frozen=True)
 class SampleProbe:
@@ -547,43 +518,6 @@ class SketchProbe:
         return encode_from_sketch(
             representation, self.relative_runtime_sketch(kind), kind
         )
-
-    def to_wire(self) -> dict:
-        """JSON-safe dict form (see :mod:`repro.serving.protocol`)."""
-        body = {
-            "probe_kind": "sketch",
-            "benchmark": self.benchmark,
-            "system": self.system,
-            "runtime": self.runtime_sketch.to_wire(),
-            "rates": [sk.to_wire() for sk in self.rate_sketches],
-            "metric_names": list(self.metric_names),
-        }
-        if self.assumption is not None:
-            body["assumption"] = self.assumption
-        return body
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "SketchProbe":
-        """Inverse of :meth:`to_wire`, with full input validation."""
-        if not isinstance(payload, dict):
-            raise ValidationError("sketch probe must be a JSON object")
-        try:
-            return cls(
-                benchmark=payload["benchmark"],
-                system=payload["system"],
-                runtime_sketch=QuantileSketch.from_wire(payload["runtime"]),
-                rate_sketches=tuple(
-                    QuantileSketch.from_wire(p) for p in payload["rates"]
-                ),
-                metric_names=tuple(payload["metric_names"]),
-                assumption=payload.get("assumption"),
-            )
-        except KeyError as exc:
-            raise ValidationError(
-                f"sketch probe is missing field {exc.args[0]!r}"
-            ) from exc
-        except TypeError as exc:
-            raise ValidationError(f"malformed sketch probe: {exc}") from exc
 
 
 #: The unified predictor input: raw samples or percentile summaries.

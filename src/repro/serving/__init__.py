@@ -12,7 +12,8 @@ layer on top of the core pipelines without touching their math.
 * :mod:`~repro.serving.service` — :class:`PredictionService`, the
   micro-batching data plane (work-conserving batches, response cache,
   admission control, deadlines) with bit-identical outputs;
-* :mod:`~repro.serving.server` — stdlib-asyncio JSONL-over-TCP server,
+* :mod:`~repro.serving.server` — the stdlib-asyncio JSONL-over-TCP
+  endpoint (an op table the server, fleet shards and router share),
   background :class:`ServerHandle`, and the blocking
   :class:`ServingClient`;
 * :mod:`~repro.serving.fleet` — sharded multi-process fleet: N shard

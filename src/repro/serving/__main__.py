@@ -23,7 +23,6 @@ import threading
 
 from .registry import DEFAULT_MODEL_ROOT, ModelRegistry
 from .server import ServerHandle
-from .service import ServingConfig
 
 __all__ = ["main"]
 
@@ -59,18 +58,10 @@ def _fit_or_reuse(args: argparse.Namespace) -> ModelRegistry:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     """Fit-or-load a model, start a sharded fleet, block until Ctrl-C."""
-    from .fleet import AdmissionConfig, FleetHandle
+    from .fleet import FleetHandle
 
     registry = _fit_or_reuse(args)
-    admission = AdmissionConfig(knee=args.knee, rho_max=args.rho_max)
-    with FleetHandle(
-        str(registry.root),
-        args.n_shards,
-        serving_config=ServingConfig(),
-        admission_config=admission,
-        port=args.port,
-        n_replicas=args.n_replicas,
-    ) as fleet:
+    with FleetHandle(str(registry.root), args.n_shards, port=args.port) as fleet:
         print(
             f"fleet of {args.n_shards} shards serving {args.tag!r} on "
             f"127.0.0.1:{fleet.port} (Ctrl-C to stop)"
@@ -124,9 +115,6 @@ def main(argv=None) -> int:
     fleet_p.add_argument("--n-runs", type=int, default=300)
     fleet_p.add_argument("--port", type=int, default=0)
     fleet_p.add_argument("--n-shards", type=int, default=2)
-    fleet_p.add_argument("--n-replicas", type=int, default=2)
-    fleet_p.add_argument("--knee", type=float, default=4.0)
-    fleet_p.add_argument("--rho-max", type=float, default=0.95)
     fleet_p.set_defaults(func=_cmd_fleet)
 
     models_p = sub.add_parser("models", help="list stored models")

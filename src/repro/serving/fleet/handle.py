@@ -5,7 +5,8 @@
 root and a shard count, and it
 
 1. starts a :class:`~repro.serving.fleet.router.FleetRouter` on a
-   background event-loop thread and binds the client-facing port;
+   :class:`~repro.serving.server.BackgroundLoop` (the loop host
+   ``ServerHandle`` uses) and binds the client-facing port;
 2. spawns every shard as a :class:`~repro.parallel.procs.SpawnedProcess`
    running :func:`~repro.serving.fleet.shard.run_shard` before it waits
    on any, so their start-ups overlap; then, in shard-id order, waits
@@ -25,13 +26,10 @@ join.
 
 from __future__ import annotations
 
-import asyncio
-import threading
-
 from ..._validation import check_positive_int
 from ...errors import ValidationError
 from ...parallel.procs import SpawnedProcess
-from ..server import ServingClient
+from ..server import BackgroundLoop, ServingClient
 from ..service import ServingConfig
 from .admission import AdmissionConfig
 from .messages import OP_FLEET, parse_shard_ready
@@ -53,7 +51,6 @@ class FleetHandle:
         admission_config: AdmissionConfig | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        n_replicas: int = 2,
         hot_window: int = 128,
         hot_threshold: int = 16,
     ) -> None:
@@ -67,40 +64,15 @@ class FleetHandle:
         self._procs: dict[str, SpawnedProcess] = {}
         self.router = FleetRouter(
             self._store_root,
-            n_replicas=n_replicas,
             hot_window=hot_window,
             hot_threshold=hot_threshold,
             default_deadline_s=self._serving_config.default_deadline_s,
         )
-
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._startup_error: BaseException | None = None
-
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                loop.run_until_complete(self.router.start(host=host, port=port))
-            except BaseException as exc:  # noqa: BLE001 — surfaced to ctor
-                self._startup_error = exc
-                self._ready.set()
-                return
-            self._ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(self.router.stop(drain_shards=True))
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=run, name="repro-fleet-router", daemon=True
+        self._loop = BackgroundLoop(
+            lambda: self.router.start(host=host, port=port),
+            lambda: self.router.stop(drain_shards=True),
+            name="repro-fleet-router",
         )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            raise self._startup_error
 
         spawned: list[tuple[str, SpawnedProcess]] = []
         try:
@@ -117,10 +89,6 @@ class FleetHandle:
                     proc.stop(grace_s=0.0)
             self.close()
             raise
-
-    def _call(self, coro, timeout_s: float = 60.0):
-        """Run *coro* on the router loop from this synchronous thread."""
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout_s)
 
     @property
     def port(self) -> int:
@@ -167,7 +135,7 @@ class FleetHandle:
         """Await *proc*'s handshake and add it to the router's map."""
         try:
             _, shard_host, shard_port, _ = parse_shard_ready(proc.wait_ready())
-            self._call(self.router.add_shard(shard_id, shard_host, shard_port))
+            self._loop.call(self.router.add_shard(shard_id, shard_host, shard_port))
         except BaseException:
             proc.stop(grace_s=0.0)
             raise
@@ -177,12 +145,12 @@ class FleetHandle:
         """Gracefully drain one shard out of the fleet and reap its process."""
         if shard_id not in self._procs:
             raise ValidationError(f"shard {shard_id!r} is not in the fleet")
-        self._call(self.router.remove_shard(shard_id, drain=True))
+        self._loop.call(self.router.remove_shard(shard_id, drain=True))
         self._procs.pop(shard_id).stop(grace_s=10.0)
 
     def info(self, *, samples: bool = False) -> dict:
         """The ``fleet`` op, served locally: map + heartbeats (+ samples)."""
-        return self._call(self.router._fleet_op({"op": OP_FLEET, "samples": samples}))
+        return self._loop.call(self.router._fleet_op({"op": OP_FLEET, "samples": samples}))
 
     def latency_samples(self) -> list:
         """Router latency samples as ``(latency_s, inflight, shard_ord)``."""
@@ -190,13 +158,11 @@ class FleetHandle:
         async def grab():
             return self.router.latency_samples()
 
-        return self._call(grab())
+        return self._loop.call(grab())
 
     def close(self) -> None:
         """Drain every shard, stop the router loop, reap all processes."""
-        if self._loop is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=60)
+        self._loop.close(timeout_s=60)
         for shard_id in sorted(self._procs):
             self._procs[shard_id].stop(grace_s=10.0)
         self._procs.clear()

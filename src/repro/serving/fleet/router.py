@@ -42,7 +42,7 @@ from ... import obs
 from ...errors import ArtifactError, ValidationError
 from ..protocol import encode_array, error, ok
 from ..registry import ModelRegistry
-from ..server import _MAX_LINE_BYTES, _handle_connection
+from ..server import _MAX_LINE_BYTES, Endpoint, models_op, ping
 from ..service import ServingConfig
 from .messages import OP_DRAIN, OP_FLEET, OP_HEALTH
 from .partition import PartitionMap
@@ -232,7 +232,6 @@ class FleetRouter:
         self,
         store_root,
         *,
-        n_replicas: int = 2,
         hot_window: int = 128,
         hot_threshold: int = 16,
         default_deadline_s: float = ServingConfig.default_deadline_s,
@@ -241,14 +240,14 @@ class FleetRouter:
 
         *hot_window* is how many recent predict keys the popularity
         window remembers; a key seen at least *hot_threshold* times in
-        the window round-robins across its *n_replicas* rendezvous
-        replicas instead of pinning its primary shard.
+        the window round-robins across its rendezvous replicas instead
+        of pinning its primary shard.
         *default_deadline_s* is the shards' default request deadline,
         which every shard link enforces too (see :class:`ShardLink`).
         """
         self.registry = ModelRegistry(store_root)
         self._default_deadline_s = default_deadline_s
-        self._map = PartitionMap((), version=0, n_replicas=n_replicas)
+        self._map = PartitionMap((), version=0)
         self._links: dict[str, ShardLink] = {}
         self._hot_window = int(hot_window)
         self._hot_threshold = int(hot_threshold)
@@ -263,8 +262,15 @@ class FleetRouter:
             "errors": 0,
             "rebalances": 0,
         }
-        self._server: asyncio.AbstractServer | None = None
-        self._inflight: set = set()
+        self._endpoint = Endpoint(
+            {
+                "predict": self._predict,
+                "ping": ping,
+                "models": models_op(self.registry),
+                "stats": self._stats_op,
+                OP_FLEET: self._fleet_op,
+            }
+        )
 
     @property
     def partition_map(self) -> PartitionMap:
@@ -274,22 +280,11 @@ class FleetRouter:
     @property
     def port(self) -> int:
         """Bound client-facing TCP port."""
-        return self._server.sockets[0].getsockname()[1]
+        return self._endpoint.port
 
     async def start(self, *, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind the client-facing listener (``port=0`` = ephemeral)."""
-
-        async def on_connect(reader, writer):
-            try:
-                await _handle_connection(
-                    None, reader, writer, self._inflight, self._dispatch
-                )
-            except asyncio.CancelledError:
-                pass
-
-        self._server = await asyncio.start_server(
-            on_connect, host=host, port=port, limit=_MAX_LINE_BYTES
-        )
+        await self._endpoint.start(host=host, port=port)
 
     async def add_shard(self, shard_id: str, host: str, port: int) -> None:
         """Join a shard: connect its link, then announce the new map.
@@ -333,31 +328,23 @@ class FleetRouter:
         obs.gauge("fleet.map_version", self._map.version)
 
     async def stop(self, *, drain_shards: bool = True) -> None:
-        """Shut the fleet down: close the listener, drain, disconnect.
+        """Shut the fleet down: close the listener, answer clients, disconnect.
 
-        Mirrors :func:`~repro.serving.server.shutdown_server`: stop
-        accepting, flush in-flight answers, then take the shards down
-        (with their own graceful drain when *drain_shards*).
+        The endpoint's close waits for every client answer in flight,
+        then takes the shards down (with their own graceful drain when
+        *drain_shards*).
         """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        pending = {task for task in self._inflight if not task.done()}
-        if pending:
-            await asyncio.wait(pending, timeout=5.0)
-        for shard_id in sorted(self._links):
-            link = self._links[shard_id]
-            if drain_shards and link.alive:
-                await link.request({"op": OP_DRAIN})
-                await link.drain()
-            await link.close()
-        self._links.clear()
-        current = asyncio.current_task()
-        leftovers = [t for t in asyncio.all_tasks() if t is not current]
-        for task in leftovers:
-            task.cancel()
-        if leftovers:
-            await asyncio.gather(*leftovers, return_exceptions=True)
+
+        async def disconnect() -> None:
+            for shard_id in sorted(self._links):
+                link = self._links[shard_id]
+                if drain_shards and link.alive:
+                    await link.request({"op": OP_DRAIN})
+                    await link.drain()
+                await link.close()
+            self._links.clear()
+
+        await self._endpoint.close(then=disconnect)
 
     def latency_samples(self) -> list:
         """Copy of the bounded ``(latency_s, inflight, shard_ord)`` buffer."""
@@ -431,7 +418,7 @@ class FleetRouter:
         self._samples.append((latency_s, inflight, shard_ord))
         return response
 
-    async def _stats_op(self) -> dict:
+    async def _stats_op(self, payload: dict) -> dict:
         """``stats`` op: router counters plus every shard's counters."""
         shards: dict[str, dict] = {}
         for shard_id in sorted(self._links):
@@ -465,21 +452,3 @@ class FleetRouter:
             body["latency_samples"] = encode_array(samples)
             body["latency_samples_shape"] = list(samples.shape)
         return body
-
-    async def _dispatch(self, service, payload: dict) -> dict:
-        """Connection-layer handler (the *service* slot is unused)."""
-        op = payload.get("op", "predict")
-        if op == "predict":
-            return await self._predict(payload)
-        if op == "ping":
-            return {"status": 200, "op": "ping"}
-        if op == "models":
-            # available() scans tag/meta files on disk; keep it off the loop.
-            loop = asyncio.get_running_loop()
-            models = await loop.run_in_executor(None, self.registry.available)
-            return {"status": 200, "models": models}
-        if op == "stats":
-            return await self._stats_op()
-        if op == OP_FLEET:
-            return await self._fleet_op(payload)
-        return error(400, f"unknown op {op!r}")

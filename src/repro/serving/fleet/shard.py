@@ -36,8 +36,8 @@ import asyncio
 import os
 
 from ..registry import ModelRegistry
-from ..server import serve, shutdown_server
-from ..service import ServingConfig
+from ..server import Endpoint, service_ops
+from ..service import PredictionService, ServingConfig
 from .admission import AdmissionConfig, KingmanAdmission
 from .messages import OP_DRAIN, OP_HEALTH, drain_reply, health_reply, shard_ready
 
@@ -53,42 +53,36 @@ async def _shard_main(
     host: str,
 ) -> None:
     """Bind, handshake, serve until a ``drain`` op, then exit cleanly."""
-    registry = ModelRegistry(store_root)
     admission = KingmanAdmission(admission_config)
-    inflight: set = set()
+    service = PredictionService(
+        ModelRegistry(store_root), serving_config, admission=admission
+    )
     draining = asyncio.Event()
 
-    async def handle_health(service, payload) -> dict:
+    async def handle_health(payload) -> dict:
         """``health`` op: the heartbeat the router pulls."""
+        stats = service.stats()
         return health_reply(
-            shard_id,
-            admission.snapshot().to_wire(),
-            service.stats(),
-            pending=service.stats()["pending"],
+            shard_id, admission.snapshot().to_wire(), stats, pending=stats["pending"]
         )
 
-    async def handle_drain(service, payload) -> dict:
+    async def handle_drain(payload) -> dict:
         """``drain`` op: acknowledge, then trigger graceful teardown."""
         asyncio.get_running_loop().call_soon(draining.set)
         return drain_reply(shard_id, answered=service.stats()["requests"])
 
-    server, service = await serve(
-        registry,
-        serving_config,
-        host=host,
-        port=0,
-        admission=admission,
-        inflight=inflight,
-        extra_ops={OP_HEALTH: handle_health, OP_DRAIN: handle_drain},
+    endpoint = Endpoint(
+        {**service_ops(service), OP_HEALTH: handle_health, OP_DRAIN: handle_drain}
     )
-    port = server.sockets[0].getsockname()[1]
-    conn.send(shard_ready(shard_id, host, port, os.getpid()))
+    await endpoint.start(host=host, port=0)
+    await service.start()
+    conn.send(shard_ready(shard_id, host, endpoint.port, os.getpid()))
     conn.close()
 
     await draining.wait()
     # Graceful leave: stop accepting, answer everything already in
     # flight (including the drain acknowledgement itself), then return.
-    await shutdown_server(server, service, inflight)
+    await endpoint.close(drain=service.close)
 
 
 def run_shard(

@@ -3,7 +3,13 @@
 The server is stdlib-asyncio only.  Each connection is a stream of
 newline-terminated JSON requests; each request gets exactly one
 newline-terminated JSON response carrying the request's ``id`` (when
-supplied), so clients may pipeline.  Supported ``op`` values:
+supplied), so clients may pipeline.
+
+Every JSONL endpoint of the package — the plain server, a fleet shard
+and the fleet router — is one :class:`Endpoint`: a listener over an
+*op table* (``op name -> async handler(payload)``; a request without an
+``op`` is a ``predict``, an unknown op gets a 400).  The plain server's
+table (:func:`service_ops`) is:
 
 * ``predict`` — full body handled by
   :meth:`~repro.serving.service.PredictionService.submit`;
@@ -11,11 +17,16 @@ supplied), so clients may pipeline.  Supported ``op`` values:
 * ``stats`` — service counters + batch-size histogram;
 * ``ping`` — liveness.
 
+A fleet shard adds ``health``/``drain``; the fleet router brings its
+own ``predict``/``stats``/``fleet`` and reuses ``ping``/``models``.
+
 Two deployment shapes:
 
 * :func:`serve` — run a server inside an existing asyncio program;
 * :class:`ServerHandle` — own a background event-loop thread, for
-  synchronous callers (tests, the bench harness, the CLI).
+  synchronous callers (tests, the bench harness, the CLI).  The fleet's
+  :class:`~repro.serving.fleet.handle.FleetHandle` hosts its router on
+  the same :class:`BackgroundLoop`.
 
 :class:`ServingClient` is the matching synchronous client: one socket,
 blocking JSONL request/response, no third-party dependencies.
@@ -24,125 +35,189 @@ blocking JSONL request/response, no third-party dependencies.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import socket
 import threading
+from collections.abc import Awaitable, Callable
 
 from ..errors import ValidationError
-from .protocol import error, predict_request
+from .protocol import error, ok, predict_request
 from .registry import ModelRegistry
 from .service import PredictionService, ServingConfig
 
-__all__ = ["serve", "shutdown_server", "ServerHandle", "ServingClient"]
+__all__ = ["Endpoint", "serve", "ServerHandle", "ServingClient"]
+
+#: One op of an endpoint's table: the decoded request in, the response out.
+Handler = Callable[[dict], Awaitable[dict]]
 
 #: Upper bound on one request line; guards the reader against a
 #: malicious or broken client streaming an unbounded line.
 _MAX_LINE_BYTES = 64 * 1024 * 1024
 
+#: How long a closing endpoint waits for its in-flight answers.
+_GRACE_S = 5.0
 
-async def _handle_request(service: PredictionService, payload: dict) -> dict:
-    """Dispatch one decoded request to the service."""
-    op = payload.get("op", "predict")
-    if op == "predict":
-        return await service.submit(payload)
-    if op == "ping":
-        return {"status": 200, "op": "ping"}
-    if op == "models":
+
+async def ping(payload: dict) -> dict:
+    """``ping`` op: liveness."""
+    return ok(op="ping")
+
+
+def models_op(registry: ModelRegistry) -> Handler:
+    """``models`` op over *registry*: every stored model and its tags."""
+
+    async def models(payload: dict) -> dict:
         # available() reads every tag/meta file in the artifact store;
         # keep that disk scan off the event loop.
         loop = asyncio.get_running_loop()
-        models = await loop.run_in_executor(None, service.registry.available)
-        return {"status": 200, "models": models}
-    if op == "stats":
-        return {"status": 200, "stats": service.stats()}
-    return error(400, f"unknown op {op!r}")
+        return ok(models=await loop.run_in_executor(None, registry.available))
+
+    return models
 
 
-async def _handle_connection(
-    service: PredictionService,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    inflight: set | None = None,
-    dispatch=None,
-) -> None:
-    """Serve one client connection until EOF (or drain-time cancellation).
+def service_ops(service: PredictionService) -> dict[str, Handler]:
+    """The plain server's op table: ``predict``/``ping``/``models``/``stats``."""
 
-    Requests on a connection run as concurrent tasks (so a slow predict
-    does not block a ping behind it); a per-connection lock serializes
-    writes so responses never interleave mid-line.  Each answer task is
-    held only until it finishes (a long-lived connection, such as the
-    fleet router's link to a shard, must not keep every task it ever
-    ran), and is registered in the server-wide *inflight* set so a
-    draining server can wait for pending responses to be written before
-    sockets close.
-    Cancellation while blocked on ``readline`` means "drain": stop
-    reading, but still flush every response already in flight.  A
-    *dispatch* override lets the fleet router reuse this connection
-    machinery with its own request handler.
+    async def stats(payload: dict) -> dict:
+        return ok(stats=service.stats())
+
+    return {
+        "predict": service.submit,
+        "ping": ping,
+        "models": models_op(service.registry),
+        "stats": stats,
+    }
+
+
+class Endpoint:
+    """A JSONL listener that dispatches every request through an op table.
+
+    Requests on a connection run as concurrent answer tasks (so a slow
+    predict does not block a ping behind it); a per-connection lock
+    serializes writes so responses never interleave mid-line.  The
+    endpoint holds each answer task only until it finishes (a
+    long-lived connection, such as the fleet router's link to a shard,
+    must not keep every task it ever ran), and :meth:`close` waits for
+    the ones still running before sockets close.
     """
-    write_lock = asyncio.Lock()
-    tasks: set[asyncio.Task] = set()
-    handle = dispatch if dispatch is not None else _handle_request
 
-    async def answer(payload: dict, request_id) -> None:
-        try:
-            response = await handle(service, payload)
-        except Exception as exc:  # noqa: BLE001 — connection must survive
-            response = error(500, f"{type(exc).__name__}: {exc}")
+    def __init__(self, ops: dict[str, Handler]) -> None:
+        """Serve *ops* (``op name -> async handler(payload)``) once started."""
+        self.ops = ops
+        self._server: asyncio.AbstractServer | None = None
+        self._answers: set[asyncio.Task] = set()
+
+    async def start(self, *, host: str = "127.0.0.1", port: int = 0) -> None:
+        """Bind the listener (``port=0`` = ephemeral)."""
+        self._server = await asyncio.start_server(
+            self._connection, host=host, port=port, limit=_MAX_LINE_BYTES
+        )
+
+    @property
+    def port(self) -> int:
+        """Bound TCP port."""
+        return self._server.sockets[0].getsockname()[1]
+
+    async def close(
+        self,
+        *,
+        drain: Callable[[], Awaitable] | None = None,
+        then: Callable[[], Awaitable] | None = None,
+    ) -> None:
+        """Graceful close: every accepted request is answered, then stop.
+
+        The steps every endpoint takes: (1) stop accepting connections,
+        (2) wait up to the grace period for in-flight answer tasks to
+        write their responses, and only then (3) cancel what is left on
+        the loop, such as connection handlers blocked reading from idle
+        keepalive sockets.  Cancelling before step 2 is what used to
+        drop responses on the floor.  The owner's own drain step runs
+        where its answers need it: *drain* before step 2 (the server
+        closes its service, so every queued request resolves to a real
+        answer or a 503), *then* after it (the router drains its shards
+        once its clients have their answers).
+        """
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        if drain is not None:
+            await drain()
+        pending = {task for task in self._answers if not task.done()}
+        if pending:
+            await asyncio.wait(pending, timeout=_GRACE_S)
+        if then is not None:
+            await then()
+        current = asyncio.current_task()
+        leftovers = [t for t in asyncio.all_tasks() if t is not current]
+        for task in leftovers:
+            task.cancel()
+        if leftovers:
+            await asyncio.gather(*leftovers, return_exceptions=True)
+
+    async def _answer(self, payload: dict, reply: Callable[[dict], Awaitable]) -> None:
+        """Dispatch one request through the op table and write its response."""
+        op = payload.get("op", "predict")
+        handler = self.ops.get(op) if isinstance(op, str) else None
+        if handler is None:
+            response = error(400, f"unknown op {op!r}")
+        else:
+            try:
+                response = await handler(payload)
+            except Exception as exc:  # noqa: BLE001 — connection must survive
+                response = error(500, f"{type(exc).__name__}: {exc}")
+        request_id = payload.get("id")
         if request_id is not None:
             response["id"] = request_id
-        async with write_lock:
-            writer.write(json.dumps(response).encode() + b"\n")
-            await writer.drain()
+        await reply(response)
 
-    def start_answer(payload: dict) -> None:
-        task = asyncio.get_running_loop().create_task(
-            answer(payload, payload.get("id"))
-        )
-        for owner in (tasks, inflight):
-            if owner is not None:
-                owner.add(task)
-                task.add_done_callback(owner.discard)
+    def _start_answer(self, payload: dict, reply, tasks: set) -> None:
+        """Answer *payload* in a task held by *tasks* and the endpoint until done.
 
-    try:
-        while True:
-            try:
-                line = await reader.readline()
-            except (ValueError, ConnectionError):
-                break
-            except asyncio.CancelledError:
-                break  # draining: stop reading, flush in-flight answers
-            if not line:
-                break
-            if len(line) > _MAX_LINE_BYTES:
-                break
-            try:
-                payload = json.loads(line)
-            except ValueError:
-                await answer_malformed(writer, write_lock)
-                continue
-            if not isinstance(payload, dict):
-                await answer_malformed(writer, write_lock)
-                continue
-            start_answer(payload)
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-    finally:
-        writer.close()
+        A call of its own, so the connection loop's frame holds no
+        reference to the last task it started.
+        """
+        task = asyncio.get_running_loop().create_task(self._answer(payload, reply))
+        for owner in (tasks, self._answers):
+            owner.add(task)
+            task.add_done_callback(owner.discard)
+
+    async def _connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Serve one client connection until EOF (or close-time cancellation)."""
+        write_lock = asyncio.Lock()
+        tasks: set[asyncio.Task] = set()
+
+        async def reply(response: dict) -> None:
+            async with write_lock:
+                writer.write(json.dumps(response).encode() + b"\n")
+                await writer.drain()
+
         try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-async def answer_malformed(writer: asyncio.StreamWriter, lock: asyncio.Lock) -> None:
-    """Reply 400 to a line that was not a JSON object."""
-    async with lock:
-        writer.write(
-            json.dumps(error(400, "request line is not a JSON object")).encode()
-            + b"\n"
-        )
-        await writer.drain()
+            while True:
+                try:
+                    line = await reader.readline()
+                except (ValueError, ConnectionError, asyncio.CancelledError):
+                    break  # a cancel here means "drain": flush in-flight answers
+                if not line or len(line) > _MAX_LINE_BYTES:
+                    break
+                try:
+                    payload = json.loads(line)
+                except ValueError:
+                    payload = None
+                if isinstance(payload, dict):
+                    self._start_answer(payload, reply, tasks)
+                else:
+                    await reply(error(400, "request line is not a JSON object"))
+            if tasks:
+                await asyncio.gather(*tasks, return_exceptions=True)
+        except asyncio.CancelledError:
+            pass  # close() cancels connections still open after its grace period
+        finally:
+            writer.close()
+            with contextlib.suppress(ConnectionError, OSError, asyncio.CancelledError):
+                await writer.wait_closed()
 
 
 async def serve(
@@ -152,76 +227,78 @@ async def serve(
     host: str = "127.0.0.1",
     port: int = 0,
     admission=None,
-    inflight: set | None = None,
-    extra_ops: dict | None = None,
-) -> tuple[asyncio.AbstractServer, PredictionService]:
-    """Start a server inside the running loop; returns (server, service).
+) -> tuple[Endpoint, PredictionService]:
+    """Start a server inside the running loop; returns (endpoint, service).
 
     ``port=0`` binds an ephemeral port — read it back from
-    ``server.sockets[0].getsockname()[1]``.  Pass an *admission* gate to
-    shed on predicted wait in front of the ``queue_limit`` cap (fleet
-    shards pass a :class:`~repro.serving.fleet.admission.KingmanAdmission`),
-    an *inflight* set to observe pending answer tasks during drain, and
-    *extra_ops* (``op -> async handler(service, payload)``) to extend
-    the protocol (shards add ``health``/``drain``).
+    ``endpoint.port``.  Pass an *admission* gate to shed on predicted
+    wait in front of the ``queue_limit`` cap (see
+    :class:`~repro.serving.fleet.admission.KingmanAdmission`).  Close
+    with ``await endpoint.close(drain=service.close)``: the service
+    answers (or 503s) every queued request before the endpoint waits
+    for their answers to be written.  The close cancels every task left
+    on the running loop, so give the server a loop of its own.
     """
     service = PredictionService(registry, config, admission=admission)
+    endpoint = Endpoint(service_ops(service))
+    await endpoint.start(host=host, port=port)  # a failed bind starts nothing
     await service.start()
-
-    if extra_ops:
-        async def dispatch(svc, payload):
-            handler = extra_ops.get(payload.get("op"))
-            if handler is not None:
-                return await handler(svc, payload)
-            return await _handle_request(svc, payload)
-    else:
-        dispatch = None
-
-    async def on_connect(reader, writer):
-        try:
-            await _handle_connection(service, reader, writer, inflight, dispatch)
-        except asyncio.CancelledError:
-            # Server shutdown cancels in-flight connection tasks; a
-            # dying connection is the expected outcome, not an error.
-            pass
-
-    server = await asyncio.start_server(
-        on_connect, host=host, port=port, limit=_MAX_LINE_BYTES
-    )
-    return server, service
+    return endpoint, service
 
 
-async def shutdown_server(
-    server: asyncio.AbstractServer,
-    service: PredictionService,
-    inflight: set | None = None,
-    *,
-    grace_s: float = 5.0,
-) -> None:
-    """Graceful drain: every in-flight request is answered, then close.
+class BackgroundLoop:
+    """An event loop on its own thread, hosting one endpoint for sync callers.
 
-    The sequence is load-bearing for shard rebalance (and was the PR-5
-    drain bug): (1) stop accepting connections, (2) drain the batch
-    queue — every accepted request's future resolves, to a real answer
-    or a 503, (3) wait up to *grace_s* for pending answer tasks to
-    write their responses, and only then (4) cancel the connection
-    handlers still blocked reading from idle keepalive sockets.
-    Cancelling before step 3 is what used to drop responses on the
-    floor.
+    *start* runs first (its exception is re-raised to the constructor);
+    after :meth:`close` stops the loop, *stop* runs on it before the
+    loop closes.  :class:`ServerHandle` and
+    :class:`~repro.serving.fleet.handle.FleetHandle` are built on it.
     """
-    server.close()
-    await server.wait_closed()
-    await service.close()
-    if inflight:
-        pending = {task for task in inflight if not task.done()}
-        if pending:
-            await asyncio.wait(pending, timeout=grace_s)
-    current = asyncio.current_task()
-    leftovers = [t for t in asyncio.all_tasks() if t is not current]
-    for task in leftovers:
-        task.cancel()
-    if leftovers:
-        await asyncio.gather(*leftovers, return_exceptions=True)
+
+    def __init__(
+        self,
+        start: Callable[[], Awaitable],
+        stop: Callable[[], Awaitable],
+        *,
+        name: str,
+    ) -> None:
+        """Start the loop thread named *name*; block until *start* returns."""
+        self._loop = asyncio.new_event_loop()
+        ready = threading.Event()
+        startup_error: list[BaseException] = []
+
+        def run() -> None:
+            loop = self._loop
+            asyncio.set_event_loop(loop)
+            try:
+                loop.run_until_complete(start())
+            except BaseException as exc:  # noqa: BLE001 — surfaced to ctor
+                startup_error.append(exc)
+                loop.close()
+                ready.set()
+                return
+            ready.set()
+            try:
+                loop.run_forever()
+            finally:
+                loop.run_until_complete(stop())
+                loop.close()
+
+        self._thread = threading.Thread(target=run, name=name, daemon=True)
+        self._thread.start()
+        ready.wait()
+        if startup_error:
+            raise startup_error[0]
+
+    def call(self, coro, timeout_s: float = 60.0):
+        """Run *coro* on the loop from a synchronous thread; return its result."""
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout_s)
+
+    def close(self, timeout_s: float) -> None:
+        """Stop the loop, let *stop* run, and join the thread (idempotent)."""
+        if self._thread.is_alive():
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(timeout=timeout_s)
 
 
 class ServerHandle:
@@ -241,47 +318,23 @@ class ServerHandle:
     ) -> None:
         """Start the loop thread and block until the socket is bound."""
         self.host = host
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.AbstractServer | None = None
+        self._endpoint: Endpoint | None = None
         self._service: PredictionService | None = None
-        self._startup_error: BaseException | None = None
-        self._inflight: set = set()
 
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                self._server, self._service = loop.run_until_complete(
-                    serve(registry, config, host=host, port=port, inflight=self._inflight)
-                )
-            except BaseException as exc:  # noqa: BLE001 — surfaced to ctor
-                self._startup_error = exc
-                self._ready.set()
-                return
-            self._ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(self._shutdown())
-                loop.close()
+        async def start() -> None:
+            self._endpoint, self._service = await serve(
+                registry, config, host=host, port=port
+            )
 
-        self._thread = threading.Thread(
-            target=run, name="repro-serving-loop", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            raise self._startup_error
+        async def stop() -> None:
+            await self._endpoint.close(drain=self._service.close)
 
-    async def _shutdown(self) -> None:
-        await shutdown_server(self._server, self._service, self._inflight)
+        self._loop = BackgroundLoop(start, stop, name="repro-serving-loop")
 
     @property
     def port(self) -> int:
         """Bound TCP port."""
-        return self._server.sockets[0].getsockname()[1]
+        return self._endpoint.port
 
     @property
     def service(self) -> PredictionService:
@@ -290,10 +343,7 @@ class ServerHandle:
 
     def close(self) -> None:
         """Stop the server, drain the service, and join the loop thread."""
-        if self._loop is None or not self._thread.is_alive():
-            return
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=30)
+        self._loop.close(timeout_s=30)
 
     def __enter__(self) -> "ServerHandle":
         """Context-manager entry (the server is already running)."""

@@ -384,12 +384,14 @@ class PredictionService:
                         self._executor, self._compute_group, model_key, requests
                     )
                 except Exception as exc:  # noqa: BLE001 — batch loop must survive
-                    self._stats["errors"] += 1
-                    obs.counter("serving.errors")
                     message = f"{type(exc).__name__}: {exc}"
                     # One dict per request: the connection layer writes
                     # each request's own id into its response.
                     answered = [(request, error(500, message)) for request in requests]
+            failed = sum(response["status"] == 500 for _, response in answered)
+            if failed:
+                self._stats["errors"] += failed
+                obs.counter("serving.errors", failed)
             if self.admission is not None and answered:
                 # Per-request service effort: the group's executor wall
                 # time amortized across the requests it answered (batching
@@ -411,7 +413,10 @@ class PredictionService:
         A request whose future is already done — it expired while its
         batch-mates ran — is skipped right before its call.  That read
         races the loop thread harmlessly: at worst a request expiring
-        at that instant is computed and its answer dropped.
+        at that instant is computed and its answer dropped.  A request
+        whose own call raises fails alone: a 400 for a
+        :class:`~repro.errors.ValidationError` (an input the model
+        cannot represent), a 500 otherwise; its batch-mates keep theirs.
 
         Per-request ``predict_vector`` calls, never a stacked matrix —
         identical math to the direct library path, so served outputs are
@@ -422,18 +427,29 @@ class PredictionService:
         for request in requests:
             if request.future.done():
                 continue
-            vector = predictor.predict_vector(request.probe)
-            body = ok(
-                model_key=model_key,
-                representation=type(predictor.representation).__name__,
-                vector=[float(v) for v in vector],
-                cached=False,
-            )
-            if request.n_samples > 0:
-                rng = np.random.default_rng(int(request.sample_seed))
-                draws = predictor.representation.reconstruct(
-                    np.asarray(vector, dtype=np.float64)
-                ).sample(request.n_samples, rng=rng)
-                body["samples"] = encode_array(draws)
+            try:
+                body = self._predict(predictor, model_key, request)
+            except ValidationError as exc:
+                body = error(400, str(exc))
+            except Exception as exc:  # noqa: BLE001 — fails this request only
+                body = error(500, f"{type(exc).__name__}: {exc}")
             answered.append((request, body))
         return answered
+
+    @staticmethod
+    def _predict(predictor, model_key: str, request: _Request) -> dict:
+        """One request's 200 body: its vector and, if asked, its draws."""
+        vector = predictor.predict_vector(request.probe)
+        body = ok(
+            model_key=model_key,
+            representation=type(predictor.representation).__name__,
+            vector=[float(v) for v in vector],
+            cached=False,
+        )
+        if request.n_samples > 0:
+            rng = np.random.default_rng(int(request.sample_seed))
+            draws = predictor.representation.reconstruct(
+                np.asarray(vector, dtype=np.float64)
+            ).sample(request.n_samples, rng=rng)
+            body["samples"] = encode_array(draws)
+        return body

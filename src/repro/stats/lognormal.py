@@ -168,19 +168,29 @@ def lognormal_moments(mu: float, sigma: float) -> MomentVector:
     """First four moments of ``LogNormal(mu, sigma)``.
 
     Kurtosis follows the library convention (standardized fourth central
-    moment; normal = 3, *not* excess).
+    moment; normal = 3, *not* excess).  Moments beyond float64 (the
+    kurtosis first, for sigma above about 13.3) raise
+    :class:`~repro.errors.ValidationError`.
     """
     if sigma < 0.0:
         raise ValidationError(f"sigma must be >= 0, got {sigma}")
     s2 = sigma * sigma
-    mean = math.exp(mu + s2 / 2.0)
-    omega_m1 = math.expm1(s2)  # exp(sigma^2) - 1
-    std = mean * math.sqrt(omega_m1)
-    skew = (math.exp(s2) + 2.0) * math.sqrt(omega_m1)
-    kurt = (
-        math.exp(4.0 * s2) + 2.0 * math.exp(3.0 * s2) + 3.0 * math.exp(2.0 * s2) - 3.0
+    try:
+        mean = math.exp(mu + s2 / 2.0)
+        omega_m1 = math.expm1(s2)  # exp(sigma^2) - 1
+        std = mean * math.sqrt(omega_m1)
+        skew = (math.exp(s2) + 2.0) * math.sqrt(omega_m1)
+        kurt = (
+            math.exp(4.0 * s2) + 2.0 * math.exp(3.0 * s2) + 3.0 * math.exp(2.0 * s2) - 3.0
+        )
+    except OverflowError:
+        pass
+    else:
+        if all(math.isfinite(m) for m in (mean, std, skew, kurt)):
+            return MomentVector(mean, std, skew, kurt)
+    raise ValidationError(
+        f"lognormal moments overflow float64 (mu={mu:.6g}, sigma={sigma:.6g})"
     )
-    return MomentVector(mean, std, skew, kurt)
 
 
 def lognormal_quantile(level, mu: float, sigma: float) -> np.ndarray:

@@ -11,8 +11,9 @@
 * merged values are monotone, and at every level they lie between the
   two inputs' values at that level;
 * moment recovery on a degenerate sketch — one run, zero variance,
-  ``p50 == p99`` — returns finite moments or raises a typed
-  :class:`~repro.errors.ValidationError`, never NaN.
+  ``p50 == p99`` — or on one spread too wide for float64 returns finite
+  moments or raises a typed :class:`~repro.errors.ValidationError`,
+  never NaN.
 """
 
 from __future__ import annotations
@@ -102,3 +103,11 @@ def test_equal_p50_p99_recovers_finite_moments(low, middle, high, n):
 def test_degenerate_extremes(value):
     check_recovery(QuantileSketch.from_samples([value]))
     check_recovery(QuantileSketch(LEVELS, np.full(LEVELS.size, value), 3))
+
+
+def test_spread_beyond_float64_moments_is_a_typed_error():
+    """p99/p50 = 1e20: the lognormal moments overflow float64."""
+    sketch = QuantileSketch((0.5, 0.99), (1.0, 1e20), 5)
+    with pytest.raises(ValidationError, match="overflow"):
+        sketch.moments("lognormal")
+    check_recovery(sketch)

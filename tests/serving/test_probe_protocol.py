@@ -55,19 +55,24 @@ class TestWireEncoding:
         assert np.array_equal(back.campaign.runtimes, probe_campaign.runtimes)
         assert np.array_equal(back.campaign.counters, probe_campaign.counters)
 
-    def test_sketch_probe_round_trip(self, sketch_probe):
-        wire = json.loads(json.dumps(encode_probe(sketch_probe)))
-        assert wire["probe_kind"] == "sketch"
-        back = decode_probe(wire)
-        assert isinstance(back, SketchProbe)
-        assert np.array_equal(
-            back.runtime_sketch.values, sketch_probe.runtime_sketch.values
-        )
-        assert back.metric_names == sketch_probe.metric_names
-        for a, b in zip(back.rate_sketches, sketch_probe.rate_sketches):
-            assert np.array_equal(a.levels, b.levels)
-            assert np.array_equal(a.values, b.values)
-            assert a.n_runs == b.n_runs
+    def test_sketch_probe_round_trip(self, sketch_probe, probe_campaign):
+        pinned = SketchProbe.from_campaign(probe_campaign, assumption="pearson")
+        for probe in (sketch_probe, pinned):
+            wire = json.loads(json.dumps(encode_probe(probe)))
+            assert wire["probe_kind"] == "sketch"
+            back = decode_probe(wire)
+            assert isinstance(back, SketchProbe)
+            assert (back.benchmark, back.system) == (probe.benchmark, probe.system)
+            assert back.assumption == probe.assumption
+            assert back.metric_names == probe.metric_names
+            for a, b in zip(
+                (back.runtime_sketch, *back.rate_sketches),
+                (probe.runtime_sketch, *probe.rate_sketches),
+                strict=True,
+            ):
+                assert np.array_equal(a.levels, b.levels)
+                assert np.array_equal(a.values, b.values)
+                assert a.n_runs == b.n_runs
 
     def test_decode_rejects_unknown_kind(self, probe_campaign):
         with pytest.raises(ValidationError):

@@ -116,7 +116,7 @@ def finished_answer_tasks() -> int:
         for obj in gc.get_objects()
         if isinstance(obj, asyncio.Task)
         and obj.done()
-        and obj.get_coro().__qualname__ == "_handle_connection.<locals>.answer"
+        and obj.get_coro().__qualname__ == "Endpoint._answer"
     )
 
 

@@ -4,12 +4,15 @@ The contract under test: serving never changes an output bit.
 Concurrent clients, batched execution and the response cache must all
 return exactly what a direct ``predict_vector`` call returns; capacity
 problems surface as 429/504 responses and malformed fields as 400s,
-never as wrong answers or as failures of other requests.
+never as wrong answers or as failures of other requests.  The op-level
+protocol edges run against a plain server and a one-shard fleet's
+router, which share one endpoint layer.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import socket
 import threading
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.predictors import FewRunsPredictor
+from repro.core.sketch import QuantileSketch, SketchProbe
 from repro.errors import ValidationError
 from repro.serving import (
     ModelRegistry,
@@ -28,7 +32,8 @@ from repro.serving import (
     ServingConfig,
     serve,
 )
-from repro.serving.fleet import AdmissionConfig
+from repro.serving.__main__ import main as serving_main
+from repro.serving.fleet import AdmissionConfig, FleetHandle, FleetRouter
 from repro.serving.protocol import MAX_SAMPLES, decode_array, encode_array, ok, predict_request
 from repro.serving.server import _MAX_LINE_BYTES
 
@@ -93,19 +98,33 @@ class TestServingConfig:
             ("PredictionService", "pool"),
             ("ServerHandle", "pool"),
             ("serve", "pool"),
+            ("serve", "inflight"),
+            ("serve", "extra_ops"),
+            ("FleetHandle", "n_replicas"),
+            ("FleetRouter", "n_replicas"),
         ],
     )
     def test_removed_names_raise_type_error(self, registry, owner, name):
-        """Names removed in 4.0.0 fail loudly, never as a silent no-op."""
+        """Names removed in 4.0.0 and 5.0.0 fail loudly, never as a silent no-op."""
         build = {
             "ServingConfig": ServingConfig,
             "AdmissionConfig": AdmissionConfig,
             "PredictionService": lambda **kw: PredictionService(registry, **kw),
             "ServerHandle": lambda **kw: ServerHandle(registry, **kw),
             "serve": lambda **kw: serve(registry, **kw),
+            "FleetHandle": lambda **kw: FleetHandle(registry.root, 1, **kw),
+            "FleetRouter": lambda **kw: FleetRouter(registry.root, **kw),
         }[owner]
         with pytest.raises(TypeError, match=name):
             build(**{name: None})
+
+    @pytest.mark.parametrize("flag", ["--knee", "--rho-max", "--n-replicas"])
+    def test_removed_fleet_flags_are_rejected(self, flag, capsys):
+        """``fleet`` flags removed in 5.0.0 are argparse errors, not no-ops."""
+        with pytest.raises(SystemExit) as exit_info:
+            serving_main(["fleet", flag, "2"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestServedBitIdentity:
@@ -364,6 +383,17 @@ class TestAdmissionAndDeadlines:
         assert reply["status"] == 200
 
 
+@pytest.fixture(params=["server", "fleet"])
+def endpoint_port(request, registry):
+    """Port of a plain server, or of a one-shard fleet's router, serving ``uc1``."""
+    if request.param == "server":
+        handle = ServerHandle(registry)
+    else:
+        handle = FleetHandle(registry.root, 1)
+    with handle:
+        yield handle.port
+
+
 class TestProtocolEdges:
     def test_unknown_model_is_404(self, registry, intel_small):
         probe = intel_small["npb/cg"].subset(range(6))
@@ -392,35 +422,38 @@ class TestProtocolEdges:
         assert reply["status"] == 400, reply
         assert "base64 string" in reply["error"]
 
-    def test_unknown_op_is_400(self, registry):
-        with ServerHandle(registry) as server:
-            with ServingClient("127.0.0.1", server.port) as client:
-                reply = client.request({"op": "teleport"})
+    def test_unknown_op_is_400(self, endpoint_port):
+        with ServingClient("127.0.0.1", endpoint_port) as client:
+            reply = client.request({"op": "teleport"})
+            unhashable = client.request({"op": ["teleport"]})
         assert reply["status"] == 400
+        assert unhashable["status"] == 400, unhashable
 
-    def test_non_json_line_is_400(self, registry):
-        with ServerHandle(registry) as server:
-            with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
-                f = sock.makefile("rwb")
-                f.write(b"this is not json\n")
-                f.flush()
-                reply = json.loads(f.readline())
+    def test_non_json_line_is_400(self, endpoint_port):
+        with socket.create_connection(("127.0.0.1", endpoint_port), timeout=10) as sock:
+            f = sock.makefile("rwb")
+            f.write(b"this is not json\n")
+            f.flush()
+            reply = json.loads(f.readline())
+            # The connection survives the bad line.
+            f.write(json.dumps({"op": "ping", "id": "after"}).encode() + b"\n")
+            f.flush()
+            after = json.loads(f.readline())
         assert reply["status"] == 400
+        assert (after["status"], after["id"]) == (200, "after")
 
-    def test_request_ids_round_trip(self, registry, intel_small):
+    def test_request_ids_round_trip(self, endpoint_port, intel_small):
         probe = intel_small["npb/cg"].subset(range(6))
-        with ServerHandle(registry) as server:
-            with ServingClient("127.0.0.1", server.port) as client:
-                reply = client.request(_predict_payload(probe, id="req-42"))
-        assert reply["id"] == "req-42"
+        with ServingClient("127.0.0.1", endpoint_port) as client:
+            reply = client.request(_predict_payload(probe, id="req-42"))
+        assert (reply["status"], reply["id"]) == (200, "req-42")
 
-    def test_ping_models_and_stats_ops(self, registry):
-        with ServerHandle(registry) as server:
-            with ServingClient("127.0.0.1", server.port) as client:
-                assert client.ping()
-                models = client.request({"op": "models"})["models"]
-                assert any(info["tags"] == ["uc1"] for info in models.values())
-                stats = client.request({"op": "stats"})["stats"]
+    def test_ping_models_and_stats_ops(self, endpoint_port):
+        with ServingClient("127.0.0.1", endpoint_port) as client:
+            assert client.ping()
+            models = client.request({"op": "models"})["models"]
+            assert any(info["tags"] == ["uc1"] for info in models.values())
+            stats = client.request({"op": "stats"})["stats"]
         assert stats["requests"] == 0  # ping/models/stats are not predicts
 
     def test_sampling_is_seed_deterministic(self, registry, intel_small):
@@ -492,6 +525,42 @@ class TestFieldValidation:
         (reply,) = self._submit_all(registry, [payload])
         assert reply["status"] == 400, reply
         assert name in reply["error"]
+
+    def test_unrepresentable_sketch_fails_alone(
+        self, tmp_path, cross_system_predictor, intel_small
+    ):
+        """A sketch whose lognormal moments overflow float64 gets its own
+        400; its batch-mate keeps a 200 bit-identical to predict_vector."""
+        registry = ModelRegistry(tmp_path)
+        registry.save(cross_system_predictor, name="uc2")
+        good = SketchProbe.from_campaign(intel_small["npb/cg"].subset(range(6)))
+        bad = dataclasses.replace(
+            good, runtime_sketch=QuantileSketch((0.5, 0.99), (1, 1e20), 5)
+        )
+
+        async def scenario():
+            service = PredictionService(registry, ServingConfig(cache_enabled=False))
+            await service.start()
+            release = threading.Event()
+            service._executor.submit(release.wait)  # wedge: both share one batch
+            asyncio.get_running_loop().call_later(0.3, release.set)
+            try:
+                replies = await asyncio.gather(
+                    *(service.submit(predict_request("uc2", p)) for p in (good, bad))
+                )
+            finally:
+                release.set()
+                await service.close()
+            return replies, service.stats()
+
+        (good_reply, bad_reply), stats = asyncio.run(scenario())
+        assert stats["batch_size_histogram"] == {"2": 1}
+        assert bad_reply["status"] == 400, bad_reply
+        assert "overflow" in bad_reply["error"]
+        assert good_reply["status"] == 200, good_reply
+        assert np.array_equal(
+            np.asarray(good_reply["vector"]), cross_system_predictor.predict_vector(good)
+        )
 
     def test_max_samples_reply_stays_well_under_the_line_limit(self):
         line = json.dumps(ok(samples=encode_array(np.zeros(MAX_SAMPLES)))).encode()

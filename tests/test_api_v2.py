@@ -156,5 +156,5 @@ class TestStableSurface:
             assert name in repro.__all__
             assert hasattr(repro, name)
 
-    def test_version_is_v4(self):
-        assert repro.__version__.startswith("4.")
+    def test_version_is_v5(self):
+        assert repro.__version__.startswith("5.")

@@ -9,7 +9,7 @@ import repro
 
 class TestTopLevelAPI:
     def test_version(self):
-        assert repro.__version__ == "4.0.0"
+        assert repro.__version__ == "5.0.0"
 
     def test_all_names_importable(self):
         for name in repro.__all__:
