@@ -64,8 +64,10 @@ class GradientBoostingRegressor(Regressor):
     rng:
         Seed or Generator.
     tree_method:
-        ``"exact"`` (default) fits each round's tree with the per-node
-        sorted scan; ``"hist"`` bins the matrix once and grows every
+        ``"exact"`` (default) fits each round's tree with the sorted
+        scan, which sorts the round's rows once per column and
+        partitions that order down the tree; ``"hist"`` bins the matrix
+        once and grows every
         round on the shared uint8 codes with a one-time per-feature
         sort order reused across all rounds (:mod:`repro.ml.hist`).
     """

@@ -16,26 +16,21 @@ from .. import obs
 from .._validation import check_positive_int, check_random_state
 from ..errors import ValidationError
 from .base import Regressor, validate_fit_inputs
-from .tree import RegressionTree, check_tree_method, n_candidate_features
+from .tree import RegressionTree, check_tree_method, grow_exact, n_candidate_features
 
 __all__ = ["RandomForestRegressor"]
 
 
-def _fit_one_tree(Xv, yv, tree_params, bootstrap, seq) -> RegressionTree:
-    """Fit one forest member from its spawned seed sequence.
+def _member_streams(seeds, n: int, bootstrap: bool):
+    """Each member's training rows and generator, from its spawned seed.
 
-    Driven purely by ``seq``: every tree derives its feature subsampling
-    *and* bootstrap rows from its own pre-spawned stream, so a tree does
-    not depend on the order the forest's trees are fitted in.
+    The member's generator draws its bootstrap rows first and then its
+    per-node candidate columns, so a tree depends on its own seed alone,
+    not on the order or company it grows in.
     """
-    tree_rng = np.random.default_rng(seq)
-    tree = RegressionTree(rng=tree_rng, **tree_params)
-    n = Xv.shape[0]
-    if bootstrap:
-        rows = tree_rng.integers(0, n, size=n)
-    else:
-        rows = np.arange(n)
-    return tree.fit(Xv, yv, sample_indices=rows)
+    for seq in seeds:
+        rng = np.random.default_rng(seq)
+        yield (rng.integers(0, n, size=n) if bootstrap else np.arange(n)), rng
 
 
 class RandomForestRegressor(Regressor):
@@ -57,12 +52,14 @@ class RandomForestRegressor(Regressor):
         Seed or Generator; child trees get independent spawned streams so
         results are reproducible regardless of fitting order.
     tree_method:
-        ``"exact"`` (default) fits each tree with the per-node sorted
-        scan; ``"hist"`` bins the matrix once and grows *all* trees as
-        one level-wise batch on the shared uint8 codes
-        (:mod:`repro.ml.hist`) — the batch kernel amortizes per-node
-        NumPy overhead across the whole forest.  Joint growth is
-        bit-identical to growing each tree solo from its spawned stream.
+        ``"exact"`` (default) grows *all* trees together with the
+        sorted-scan kernel, one node per tree per step in each tree's
+        depth-first order (:func:`~repro.ml.tree.grow_exact`); ``"hist"``
+        bins the matrix once and grows all trees as one level-wise
+        batch on the shared uint8 codes (:mod:`repro.ml.hist`).  Either
+        batch amortizes per-node NumPy overhead across the whole forest,
+        and joint growth is bit-identical to growing each tree solo from
+        its spawned stream.
 
     Trees are fitted in-process: the evaluation grids parallelize at
     the LOGO-fold level (:func:`repro.core.engine.logo_fold_vectors`).
@@ -89,24 +86,31 @@ class RandomForestRegressor(Regressor):
         self.rng = rng
         self.tree_method = check_tree_method(tree_method)
 
+    def _members(self, tree_method: str) -> list[RegressionTree]:
+        """One unfitted member tree per estimator; building them
+        validates the tree parameters before any tree grows."""
+        return [
+            RegressionTree(
+                max_depth=self.max_depth,
+                min_samples_split=self.min_samples_split,
+                min_samples_leaf=self.min_samples_leaf,
+                max_features=self.max_features,
+                tree_method=tree_method,
+            )
+            for _ in range(self.n_estimators)
+        ]
+
     def _fit_hist(self, yv, seeds, binned) -> None:
         """Grow the whole forest as one batch on pre-binned codes."""
         from .hist import TreeSpec, grow_trees
 
         n, d = binned.n_rows, binned.n_features
         k = yv.shape[1]
-        specs = []
-        for seq in seeds:
-            # Same stream discipline as _fit_one_tree: the spawned
-            # generator draws the bootstrap rows first, then feeds the
-            # tree's per-node candidate draws.
-            tree_rng = np.random.default_rng(seq)
-            rows = (
-                tree_rng.integers(0, n, size=n)
-                if self.bootstrap
-                else np.arange(n)
-            )
-            specs.append(TreeSpec(rows=rows, rng=tree_rng))
+        trees = self._members("hist")
+        specs = [
+            TreeSpec(rows=rows, rng=rng)
+            for rows, rng in _member_streams(seeds, n, self.bootstrap)
+        ]
         timing = obs.enabled()
         grown, stats = grow_trees(
             binned,
@@ -119,20 +123,30 @@ class RandomForestRegressor(Regressor):
             min_samples_leaf=self.min_samples_leaf,
             timing=timing,
         )
-        trees = []
-        for g in grown:
-            t = RegressionTree(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                tree_method="hist",
-            )
-            t._adopt_grown(g, d, k)
-            trees.append(t)
+        for tree, g in zip(trees, grown):
+            tree._adopt_grown(g, d, k)
         self.trees_ = trees
         if timing:
             stats.emit(len(grown))
+
+    def _fit_exact(self, Xv, yv, seeds) -> None:
+        """Grow every member in DFS lockstep (:func:`~repro.ml.tree.grow_exact`)."""
+        n, d = Xv.shape
+        trees = self._members("exact")
+        rows, gens = zip(*_member_streams(seeds, n, self.bootstrap))
+        grown = grow_exact(
+            Xv,
+            yv,
+            list(rows),
+            list(gens),
+            n_cand=trees[0]._n_candidate_features(d),
+            max_depth=trees[0].max_depth,
+            min_samples_split=trees[0].min_samples_split,
+            min_samples_leaf=trees[0].min_samples_leaf,
+        )
+        for tree, g in zip(trees, grown):
+            tree._adopt_grown(g, d, yv.shape[1])
+        self.trees_ = trees
 
     def fit_binned(self, binned, y) -> "RandomForestRegressor":
         """Fit from a :class:`~repro.ml.binning.BinnedMatrix` alone.
@@ -188,16 +202,7 @@ class RandomForestRegressor(Regressor):
                     )
                 self._fit_hist(yv, seeds, binned)
             else:
-                tree_params = {
-                    "max_depth": self.max_depth,
-                    "min_samples_split": self.min_samples_split,
-                    "min_samples_leaf": self.min_samples_leaf,
-                    "max_features": self.max_features,
-                }
-                self.trees_ = [
-                    _fit_one_tree(Xv, yv, tree_params, self.bootstrap, seq)
-                    for seq in seeds
-                ]
+                self._fit_exact(Xv, yv, seeds)
         if timing:
             obs.counter("forest.fits")
             obs.observe("forest.fit_s", time.perf_counter() - t_fit)

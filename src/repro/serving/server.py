@@ -96,22 +96,25 @@ class Endpoint:
     Requests on a connection run as concurrent answer tasks (so a slow
     predict does not block a ping behind it); a per-connection lock
     serializes writes so responses never interleave mid-line.  The
-    endpoint holds each answer task only until it finishes (a
-    long-lived connection, such as the fleet router's link to a shard,
-    must not keep every task it ever ran), and :meth:`close` waits for
-    the ones still running before sockets close.
+    endpoint holds each connection-handler and answer task only until it
+    finishes (a long-lived connection, such as the fleet router's link
+    to a shard, must not keep every task it ever ran), and :meth:`close`
+    waits for the answers still running before sockets close.  Those
+    are the only tasks the endpoint touches: it shares its loop with
+    whatever else the program runs.
     """
 
     def __init__(self, ops: dict[str, Handler]) -> None:
         """Serve *ops* (``op name -> async handler(payload)``) once started."""
         self.ops = ops
         self._server: asyncio.AbstractServer | None = None
+        self._connections: set[asyncio.Task] = set()
         self._answers: set[asyncio.Task] = set()
 
     async def start(self, *, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind the listener (``port=0`` = ephemeral)."""
         self._server = await asyncio.start_server(
-            self._connection, host=host, port=port, limit=_MAX_LINE_BYTES
+            self._accept, host=host, port=port, limit=_MAX_LINE_BYTES
         )
 
     @property
@@ -129,10 +132,13 @@ class Endpoint:
 
         The steps every endpoint takes: (1) stop accepting connections,
         (2) wait up to the grace period for in-flight answer tasks to
-        write their responses, and only then (3) cancel what is left on
-        the loop, such as connection handlers blocked reading from idle
-        keepalive sockets.  Cancelling before step 2 is what used to
-        drop responses on the floor.  The owner's own drain step runs
+        write their responses, and only then (3) cancel the endpoint's
+        own tasks still running, such as connection handlers blocked
+        reading from idle keepalive sockets.  Cancelling before step 2
+        is what used to drop responses on the floor.  Other tasks on the
+        loop are left alone; the loop's host ends them with the loop
+        (``asyncio.run``, :class:`BackgroundLoop`).  The owner's own
+        drain step runs
         where its answers need it: *drain* before step 2 (the server
         closes its service, so every queued request resolves to a real
         answer or a 503), *then* after it (the router drains its shards
@@ -148,8 +154,7 @@ class Endpoint:
             await asyncio.wait(pending, timeout=_GRACE_S)
         if then is not None:
             await then()
-        current = asyncio.current_task()
-        leftovers = [t for t in asyncio.all_tasks() if t is not current]
+        leftovers = [t for t in (*self._connections, *self._answers) if not t.done()]
         for task in leftovers:
             task.cancel()
         if leftovers:
@@ -181,6 +186,16 @@ class Endpoint:
         for owner in (tasks, self._answers):
             owner.add(task)
             task.add_done_callback(owner.discard)
+
+    def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        """Serve a new connection in a task the endpoint holds until done.
+
+        The task is registered as it is created, so a close that follows
+        the accept at once still finds it.
+        """
+        task = asyncio.get_running_loop().create_task(self._connection(reader, writer))
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
 
     async def _connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -236,8 +251,9 @@ async def serve(
     :class:`~repro.serving.fleet.admission.KingmanAdmission`).  Close
     with ``await endpoint.close(drain=service.close)``: the service
     answers (or 503s) every queued request before the endpoint waits
-    for their answers to be written.  The close cancels every task left
-    on the running loop, so give the server a loop of its own.
+    for their answers to be written.  The close cancels only the
+    endpoint's own connection and answer tasks, so the server can share
+    a loop with the rest of an asyncio program.
     """
     service = PredictionService(registry, config, admission=admission)
     endpoint = Endpoint(service_ops(service))
@@ -250,8 +266,9 @@ class BackgroundLoop:
     """An event loop on its own thread, hosting one endpoint for sync callers.
 
     *start* runs first (its exception is re-raised to the constructor);
-    after :meth:`close` stops the loop, *stop* runs on it before the
-    loop closes.  :class:`ServerHandle` and
+    after :meth:`close` stops the loop, *stop* runs on it, then every
+    task still on the loop is cancelled and awaited (as ``asyncio.run``
+    does) before the loop closes.  :class:`ServerHandle` and
     :class:`~repro.serving.fleet.handle.FleetHandle` are built on it.
     """
 
@@ -282,6 +299,12 @@ class BackgroundLoop:
                 loop.run_forever()
             finally:
                 loop.run_until_complete(stop())
+                leftovers = asyncio.all_tasks(loop)
+                for task in leftovers:
+                    task.cancel()
+                loop.run_until_complete(
+                    asyncio.gather(*leftovers, return_exceptions=True)
+                )
                 loop.close()
 
         self._thread = threading.Thread(target=run, name=name, daemon=True)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.metrics import r2_score
@@ -65,22 +67,45 @@ class TestRandomForest:
 
 
 class TestTreeStreams:
-    def test_fit_order_does_not_change_trees(self, rng):
-        # Each tree is a pure function of its spawned seed stream, so
-        # fitting the members in reverse reproduces the forest.
-        from repro.ml.forest import _fit_one_tree
-
-        X = np.asarray(rng.normal(size=(120, 6)))
-        y = rng.normal(size=(120, 3))
-        Xt = rng.normal(size=(15, 6))
-        forest = RandomForestRegressor(8, rng=42).fit(X, y)
-        gen = np.random.default_rng(42)
-        seeds = np.random.SeedSequence(gen.integers(0, 2**63 - 1)).spawn(8)
-        params = {"max_depth": None, "min_samples_split": 2,
-                  "min_samples_leaf": 1, "max_features": "sqrt"}
-        trees = [_fit_one_tree(X, y, params, True, seq) for seq in seeds[::-1]]
-        for member, tree in zip(forest.trees_, trees[::-1]):
-            assert np.array_equal(member._predict(Xt), tree._predict(Xt))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 50),
+        d=st.integers(1, 9),
+        k=st.sampled_from([1, 4]),
+        n_trees=st.integers(1, 6),
+        max_features=st.sampled_from(["sqrt", 0.5, None, 2]),
+        bootstrap=st.booleans(),
+        min_leaf=st.integers(1, 3),
+        max_depth=st.sampled_from([None, 3]),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fit_order_does_not_change_trees(
+        self, n, d, k, n_trees, max_features, bootstrap, min_leaf, max_depth,
+        ties, seed,
+    ):
+        # The forest grows its members in lockstep; each must equal the
+        # tree grown alone from its spawned seed, bootstrap rows drawn
+        # first, whatever order the solo trees are grown in.
+        r = np.random.default_rng(seed)
+        if ties:
+            X = r.integers(0, 4, size=(n, d)).astype(float)
+            Y = r.integers(0, 3, size=(n, k)).astype(float)
+        else:
+            X, Y = r.normal(size=(n, d)), r.normal(size=(n, k))
+        params = {"max_depth": max_depth, "min_samples_leaf": min_leaf,
+                  "max_features": max_features}
+        forest = RandomForestRegressor(
+            n_trees, bootstrap=bootstrap, rng=seed, **params
+        ).fit(X, Y)
+        gen = np.random.default_rng(seed)
+        seeds = np.random.SeedSequence(gen.integers(0, 2**63 - 1)).spawn(n_trees)
+        for member, seq in reversed(list(zip(forest.trees_, seeds))):
+            tree_rng = np.random.default_rng(seq)
+            rows = tree_rng.integers(0, n, size=n) if bootstrap else None
+            solo = RegressionTree(rng=tree_rng, **params).fit(X, Y, sample_indices=rows)
+            for name in ("_feature", "_threshold", "_left", "_right", "_value"):
+                assert getattr(member, name).tobytes() == getattr(solo, name).tobytes()
 
     def test_no_tree_level_jobs(self):
         with pytest.raises(TypeError):

@@ -80,6 +80,17 @@ class TestFitting:
         assert t.node_count == 1
         assert t.predict([[0.9]])[0, 0] == pytest.approx(0.0)
 
+    def test_negative_sample_indices_name_rows_from_the_end(self, rng):
+        X = rng.normal(size=(30, 3))
+        y = rng.normal(size=(30, 2))
+        rows = rng.integers(0, 30, size=30)
+        a = RegressionTree(max_features=2, rng=0).fit(X, y, sample_indices=rows)
+        b = RegressionTree(max_features=2, rng=0).fit(X, y, sample_indices=rows - 30)
+        for name in ("_feature", "_threshold", "_left", "_right", "_value"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        with pytest.raises(IndexError):
+            RegressionTree().fit(X, y, sample_indices=[0, 30])
+
     def test_duplicate_feature_values_tie_handling(self):
         X = np.array([[1.0], [1.0], [1.0], [2.0]])
         y = np.array([0.0, 0.0, 0.0, 8.0])

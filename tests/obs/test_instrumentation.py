@@ -86,6 +86,44 @@ class TestCounterDeterminism:
         assert counters["simbench.runs.measured"] == len(BENCHES) * CFG.n_runs
 
 
+#: Counters of the deterministic families, plus the exact kernel's
+#: ``tree.fits``/``tree.nodes`` and ``forest.fits``, after one serial
+#: exact-kernel UC1 grid of CFG's campaigns with the rf and xgboost
+#: models.  Recorded when every forest member was a separate tree fit;
+#: members grown in lockstep must count the same.
+EXACT_UC1_COUNTERS = {
+    "engine.fold_vectors.hits": 2,
+    "engine.fold_vectors.misses": 4,
+    "engine.folds.fitted": 20,
+    "engine.ks.scored": 30,
+    "engine.scaled_folds.hits": 15,
+    "engine.scaled_folds.misses": 5,
+    "engine.targets.hits": 2,
+    "engine.targets.misses": 2,
+    "forest.fits": 10,
+    "simbench.campaigns.measured": 5,
+    "simbench.runs.measured": 400,
+    "tree.fits": 800,
+    "tree.nodes": 5240,
+}
+
+
+class TestExactKernelCounters:
+    def test_uc1_tree_counters_match_the_recorded_pass(self):
+        cfg = replace(CFG, models=("rf", "xgboost"))
+        obs.enable()
+        try:
+            campaigns = measure_campaigns(cfg, "intel")
+            representation_model_grid(campaigns, cfg)
+            counters = obs.get_registry().snapshot()["counters"]
+        finally:
+            obs.disable()
+        families = DETERMINISTIC_FAMILIES + ("tree", "forest")
+        assert {
+            k: v for k, v in counters.items() if k.split(".")[0] in families
+        } == EXACT_UC1_COUNTERS
+
+
 class TestStageReconciliation:
     @pytest.mark.parametrize("use_case", ["uc1", "uc2"])
     def test_grid_stage_spans_split_the_cells(self, use_case):

@@ -26,6 +26,7 @@ from repro.serving import (
     ServingConfig,
 )
 from repro.serving.protocol import predict_request
+from repro.serving.server import serve
 from repro.serving.service import _SHUTDOWN
 
 
@@ -134,3 +135,29 @@ class TestLongLivedConnection:
                 while finished_answer_tasks() and time.monotonic() < deadline:
                     time.sleep(0.01)
                 assert finished_answer_tasks() == 0
+
+
+class TestSharedLoop:
+    def test_close_leaves_other_tasks_on_the_loop(self, registry):
+        """``serve`` runs inside a larger asyncio program: closing the
+        endpoint ends its own connections and answers, and an unrelated
+        task on the same loop keeps running."""
+
+        async def scenario():
+            neighbour = asyncio.get_running_loop().create_task(asyncio.sleep(3600))
+            endpoint, service = await serve(registry)
+            reader, writer = await asyncio.open_connection("127.0.0.1", endpoint.port)
+            writer.write(b'{"op": "ping", "id": "p"}\n')
+            await writer.drain()
+            answered = json.loads(await reader.readline())
+            await endpoint.close(drain=service.close)
+            closed = await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+            survived = not neighbour.done()
+            neighbour.cancel()
+            writer.close()
+            return answered, closed, survived
+
+        answered, closed, survived = asyncio.run(scenario())
+        assert answered["status"] == 200 and answered["id"] == "p"
+        assert closed, "the endpoint left its idle connection open"
+        assert survived, "closing the endpoint cancelled an unrelated task"
