@@ -47,6 +47,25 @@ __all__ = [
 _PROBE_SEED = 909090
 
 
+def _check_parts(owner: str, model, representation) -> None:
+    """Reject a model or representation that is not an instance.
+
+    Registry names (``"knn"``, ``"histogram"``) resolve through
+    :class:`~repro.core.config.PredictConfig`; the constructors take
+    instances only, so a name fails here rather than deep inside ``fit``.
+    """
+    for what, value, kind in (
+        ("model", model, Regressor),
+        ("representation", representation, DistributionRepresentation),
+    ):
+        if not isinstance(value, kind):
+            raise ValidationError(
+                f"{owner} {what} must be a {kind.__name__} instance, got "
+                f"{value!r}; build from registry names with "
+                f"{owner}.from_config(PredictConfig(...))"
+            )
+
+
 def build_few_runs_rows(
     campaigns: dict[str, RunCampaign],
     representation: DistributionRepresentation,
@@ -133,6 +152,10 @@ class FewRunsPredictor:
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
     seed: int = _PROBE_SEED
     assumption: str = "lognormal"
+
+    def __post_init__(self) -> None:
+        """Reject registry names passed where instances belong."""
+        _check_parts(type(self).__name__, self.model, self.representation)
 
     @classmethod
     def from_config(cls, config) -> "FewRunsPredictor":
@@ -229,6 +252,10 @@ class CrossSystemPredictor:
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
     seed: int = _PROBE_SEED
     assumption: str = "lognormal"
+
+    def __post_init__(self) -> None:
+        """Reject registry names passed where instances belong."""
+        _check_parts(type(self).__name__, self.model, self.representation)
 
     @classmethod
     def from_config(cls, config) -> "CrossSystemPredictor":

@@ -16,8 +16,8 @@ from typing import Any
 
 import numpy as np
 
-from .._validation import check_2d, check_matching_length
-from ..errors import NotFittedError
+from .._validation import as_float_array, check_2d, check_matching_length
+from ..errors import NotFittedError, ValidationError
 
 __all__ = [
     "Regressor",
@@ -27,42 +27,41 @@ __all__ = [
 ]
 
 
+def _check_targets(y, rows: np.ndarray, rows_name: str) -> np.ndarray:
+    """Validate targets for fitting: finite, 1-D or 2-D, one per row of
+    *rows*.
+
+    Returns ``y`` of shape (n, k); a 1-D target is promoted to a
+    single-column matrix.  Every failure is a
+    :class:`~repro.errors.ValidationError`.
+    """
+    yv = as_float_array(y, name="y")
+    if yv.ndim == 1:
+        yv = yv.reshape(-1, 1)
+    if yv.ndim != 2:
+        raise ValidationError(f"y must be 1-D or 2-D, got shape {yv.shape}")
+    check_matching_length(rows, yv, names=(rows_name, "y"))
+    return yv
+
+
 def validate_fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
     """Validate and normalize (X, y) for fitting.
 
     Returns ``X`` of shape (n, d) and ``y`` of shape (n, k); a 1-D target
-    is promoted to a single-column matrix.
+    is promoted to a single-column matrix.  NaN or infinite values in
+    either raise :class:`~repro.errors.ValidationError`.
     """
     Xv = check_2d(X, name="X")
-    yv = np.asarray(y, dtype=np.float64)
-    if yv.ndim == 1:
-        yv = yv.reshape(-1, 1)
-    if yv.ndim != 2:
-        raise ValueError(f"y must be 1-D or 2-D, got shape {yv.shape}")
-    check_matching_length(Xv, yv, names=("X", "y"))
-    return Xv, yv
+    return Xv, _check_targets(y, Xv, "X")
 
 
 def validate_binned_targets(binned, y) -> np.ndarray:
-    """Validate (binned, y) for an X-free histogram fit.
+    """Validate ``y`` for an X-free fit on a binned matrix.
 
-    The binned-codes twin of :func:`validate_fit_inputs`: promotes a 1-D
-    target to a single column and checks it against the binned row
-    count.  Used by the ``fit_binned`` entry points, where workers
-    receive uint8 codes plus bin bounds instead of the float64 feature
-    matrix.
+    The ``fit_binned`` twin of :func:`validate_fit_inputs`: the same
+    target checks, against the binned row count.
     """
-    yv = np.asarray(y, dtype=np.float64)
-    if yv.ndim == 1:
-        yv = yv.reshape(-1, 1)
-    if yv.ndim != 2:
-        raise ValueError(f"y must be 1-D or 2-D, got shape {yv.shape}")
-    if yv.shape[0] != binned.n_rows:
-        raise ValueError(
-            f"length mismatch: binned matrix has {binned.n_rows} rows, "
-            f"y has {yv.shape[0]}"
-        )
-    return yv
+    return _check_targets(y, binned.codes, "binned matrix")
 
 
 def validate_predict_input(model: "Regressor", X) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 from .. import obs
 from .._validation import check_positive_int, check_probability, check_random_state
 from ..errors import ValidationError
-from .base import Regressor, validate_fit_inputs
+from .base import Regressor, validate_binned_targets, validate_fit_inputs
 from .tree import RegressionTree, check_tree_method, leaf_index
 
 __all__ = ["GradientBoostingRegressor", "can_lockstep", "fit_predict_folds"]
@@ -123,8 +123,16 @@ class GradientBoostingRegressor(Regressor):
         leaves = np.nonzero(counts > 0)[0]
         tree._value[leaves] = sums[leaves] / (counts[leaves] + self.reg_lambda)[:, None]
 
-    def _fit_hist(self, binned, yv) -> "GradientBoostingRegressor":
-        """Histogram fit: the shared round loop on one block of rows."""
+    def fit_binned(self, binned, y) -> "GradientBoostingRegressor":
+        """Fit from a :class:`~repro.ml.binning.BinnedMatrix` alone.
+
+        The one entry of the ``tree_method="hist"`` path (:meth:`fit`
+        bins ``X`` and calls this): the shared round loop on one block
+        of rows, which never reads ``X`` once it is binned.
+        """
+        if self.tree_method != "hist":
+            raise ValidationError("fit_binned requires tree_method='hist'")
+        yv = validate_binned_targets(binned, y)
         base, rounds = _boost_blocks(self, binned, yv, [(binned.lo, binned.hi)])
         k = yv.shape[1]
         self.base_prediction_ = base[0]
@@ -143,34 +151,14 @@ class GradientBoostingRegressor(Regressor):
         self.n_outputs_ = k
         return self
 
-    def fit_binned(self, binned, y) -> "GradientBoostingRegressor":
-        """Fit from a :class:`~repro.ml.binning.BinnedMatrix` alone.
-
-        X-free entry point of the ``tree_method="hist"`` path for pool
-        workers.  Bit-identical to ``fit(X, y, binned=binned)``: hist
-        boosting never reads ``X`` once it is binned.
-        """
-        if self.tree_method != "hist":
-            raise ValidationError("fit_binned requires tree_method='hist'")
-        from .base import validate_binned_targets
-
-        return self._fit_hist(binned, validate_binned_targets(binned, y))
-
-    def fit(self, X, y, binned=None) -> "GradientBoostingRegressor":
-        """Fit the boosted ensemble; ``binned`` optionally supplies the
-        pre-binned matrix of *X* for the ``tree_method="hist"`` path."""
+    def fit(self, X, y) -> "GradientBoostingRegressor":
+        """Fit the boosted ensemble; with ``tree_method="hist"`` it bins
+        *X* and fits through :meth:`fit_binned`."""
         Xv, yv = validate_fit_inputs(X, y)
         if self.tree_method == "hist":
-            if binned is None:
-                from .binning import BinMapper
+            from .binning import BinMapper
 
-                binned = BinMapper().fit_transform(Xv)
-            elif (binned.n_rows, binned.n_features) != Xv.shape:
-                raise ValidationError(
-                    f"binned matrix is {(binned.n_rows, binned.n_features)}, "
-                    f"X is {Xv.shape}"
-                )
-            return self._fit_hist(binned, yv)
+            return self.fit_binned(BinMapper().fit_transform(Xv), yv)
         gen = check_random_state(self.rng)
         n, d = Xv.shape
         k = yv.shape[1]

@@ -15,7 +15,7 @@ import numpy as np
 from .. import obs
 from .._validation import check_positive_int, check_random_state
 from ..errors import ValidationError
-from .base import Regressor, validate_fit_inputs
+from .base import Regressor, validate_binned_targets, validate_fit_inputs
 from .tree import RegressionTree, check_tree_method, grow_exact, n_candidate_features
 
 __all__ = ["RandomForestRegressor"]
@@ -100,7 +100,7 @@ class RandomForestRegressor(Regressor):
             for _ in range(self.n_estimators)
         ]
 
-    def _fit_hist(self, yv, seeds, binned) -> None:
+    def _fit_hist(self, binned, yv, seeds) -> None:
         """Grow the whole forest as one batch on pre-binned codes."""
         from .hist import TreeSpec, grow_trees
 
@@ -148,67 +148,50 @@ class RandomForestRegressor(Regressor):
             tree._adopt_grown(g, d, yv.shape[1])
         self.trees_ = trees
 
+    def _grow(self, grow, data, yv, d: int) -> "RandomForestRegressor":
+        """Spawn one seed per tree, then ``grow(data, yv, seeds)``.
+
+        One spawned seed per tree keeps trees independent and the whole
+        fit reproducible from a single root seed, regardless of where
+        (or in what order) each tree is fitted.
+        """
+        gen = check_random_state(self.rng)
+        seeds = np.random.SeedSequence(gen.integers(0, 2**63 - 1)).spawn(
+            self.n_estimators
+        )
+        timing = obs.enabled()
+        t_fit = time.perf_counter() if timing else 0.0
+        with obs.span("forest.fit", n_estimators=self.n_estimators):
+            grow(data, yv, seeds)
+        if timing:
+            obs.counter("forest.fits")
+            obs.observe("forest.fit_s", time.perf_counter() - t_fit)
+        self.n_features_ = d
+        self.n_outputs_ = yv.shape[1]
+        return self
+
     def fit_binned(self, binned, y) -> "RandomForestRegressor":
         """Fit from a :class:`~repro.ml.binning.BinnedMatrix` alone.
 
-        The X-free entry point of the ``tree_method="hist"`` path: pool
-        workers receive the shared uint8 codes plus bin bounds instead
-        of the float64 feature matrix and fit directly from them.
-        Bit-identical to ``fit(X, y, binned=binned)``.
+        The one entry of the ``tree_method="hist"`` path: pool workers
+        receive the shared uint8 codes plus bin bounds instead of the
+        float64 feature matrix, and :meth:`fit` bins ``X`` and calls
+        this.
         """
         if self.tree_method != "hist":
             raise ValidationError("fit_binned requires tree_method='hist'")
-        from .base import validate_binned_targets
-
         yv = validate_binned_targets(binned, y)
-        gen = check_random_state(self.rng)
-        seeds = np.random.SeedSequence(gen.integers(0, 2**63 - 1)).spawn(
-            self.n_estimators
-        )
-        timing = obs.enabled()
-        t_fit = time.perf_counter() if timing else 0.0
-        with obs.span("forest.fit", n_estimators=self.n_estimators):
-            self._fit_hist(yv, seeds, binned)
-        if timing:
-            obs.counter("forest.fits")
-            obs.observe("forest.fit_s", time.perf_counter() - t_fit)
-        self.n_features_ = binned.n_features
-        self.n_outputs_ = yv.shape[1]
-        return self
+        return self._grow(self._fit_hist, binned, yv, binned.n_features)
 
-    def fit(self, X, y, binned=None) -> "RandomForestRegressor":
-        """Fit the forest; ``binned`` optionally supplies the pre-binned
-        matrix of *X* for the ``tree_method="hist"`` path."""
+    def fit(self, X, y) -> "RandomForestRegressor":
+        """Fit the forest; with ``tree_method="hist"`` it bins *X* and
+        fits through :meth:`fit_binned`."""
         Xv, yv = validate_fit_inputs(X, y)
-        gen = check_random_state(self.rng)
-        # One spawned seed per tree keeps trees independent and the whole
-        # fit reproducible from a single root seed, regardless of where
-        # (or in what order) each tree is fitted.
-        seeds = np.random.SeedSequence(gen.integers(0, 2**63 - 1)).spawn(
-            self.n_estimators
-        )
-        timing = obs.enabled()
-        t_fit = time.perf_counter() if timing else 0.0
-        with obs.span("forest.fit", n_estimators=self.n_estimators):
-            if self.tree_method == "hist":
-                if binned is None:
-                    from .binning import BinMapper
+        if self.tree_method == "hist":
+            from .binning import BinMapper
 
-                    binned = BinMapper().fit_transform(Xv)
-                elif (binned.n_rows, binned.n_features) != Xv.shape:
-                    raise ValidationError(
-                        f"binned matrix is "
-                        f"{(binned.n_rows, binned.n_features)}, X is {Xv.shape}"
-                    )
-                self._fit_hist(yv, seeds, binned)
-            else:
-                self._fit_exact(Xv, yv, seeds)
-        if timing:
-            obs.counter("forest.fits")
-            obs.observe("forest.fit_s", time.perf_counter() - t_fit)
-        self.n_features_ = Xv.shape[1]
-        self.n_outputs_ = yv.shape[1]
-        return self
+            return self.fit_binned(BinMapper().fit_transform(Xv), yv)
+        return self._grow(self._fit_exact, Xv, yv, Xv.shape[1])
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros((X.shape[0], self.n_outputs_))

@@ -22,7 +22,7 @@ import numpy as np
 from .. import obs
 from .._validation import check_positive_int, check_random_state
 from ..errors import ValidationError
-from .base import Regressor, validate_fit_inputs
+from .base import Regressor, validate_binned_targets, validate_fit_inputs
 
 __all__ = ["RegressionTree", "TREE_METHODS", "n_candidate_features"]
 
@@ -482,21 +482,23 @@ class RegressionTree(Regressor):
         self.n_features_ = d
         self.n_outputs_ = k
 
-    def _fit_hist(self, Xv, yv, sample_indices, gen, binned) -> "RegressionTree":
-        """Histogram fit: bin once (unless pre-binned), grow level-wise."""
-        from .binning import BinMapper
+    def fit_binned(self, binned, y, sample_indices=None) -> "RegressionTree":
+        """Fit from a :class:`~repro.ml.binning.BinnedMatrix` alone.
+
+        The one entry of the ``tree_method="hist"`` path: pool workers
+        receive the shared uint8 codes plus bin bounds and never touch
+        the float64 feature matrix, and :meth:`fit` bins ``X`` and
+        calls this.  The tree grows level-wise (:mod:`repro.ml.hist`).
+        """
+        if self.tree_method != "hist":
+            raise ValidationError("fit_binned requires tree_method='hist'")
         from .hist import TreeSpec, grow_trees
 
-        n, d = Xv.shape if binned is None else (binned.n_rows, binned.n_features)
-        if Xv is not None and binned is not None and (n, d) != Xv.shape:
-            raise ValidationError(
-                f"binned matrix is {(n, d)}, X is {Xv.shape}"
-            )
-        k = yv.shape[1]
+        yv = validate_binned_targets(binned, y)
+        gen = check_random_state(self.rng)
+        n, d = binned.n_rows, binned.n_features
         timing = obs.enabled()
         t_fit = time.perf_counter() if timing else 0.0
-        if binned is None:
-            binned = BinMapper().fit_transform(Xv)
         rows = (
             np.arange(n, dtype=np.intp)
             if sample_indices is None
@@ -515,41 +517,28 @@ class RegressionTree(Regressor):
             min_samples_leaf=self.min_samples_leaf,
             timing=timing,
         )
-        self._adopt_grown(trees[0], d, k)
+        self._adopt_grown(trees[0], d, yv.shape[1])
         if timing:
             stats.emit(1)
             obs.observe("tree.fit_s", time.perf_counter() - t_fit)
         return self
 
-    def fit_binned(self, binned, y, sample_indices=None) -> "RegressionTree":
-        """Fit from a :class:`~repro.ml.binning.BinnedMatrix` alone.
-
-        X-free twin of :meth:`fit` for the ``tree_method="hist"`` path:
-        pool workers receive the shared uint8 codes plus bin bounds and
-        never touch the float64 feature matrix.  Bit-identical to
-        ``fit(X, y, sample_indices, binned=binned)``.
-        """
-        if self.tree_method != "hist":
-            raise ValidationError("fit_binned requires tree_method='hist'")
-        from .base import validate_binned_targets
-
-        yv = validate_binned_targets(binned, y)
-        gen = check_random_state(self.rng)
-        return self._fit_hist(None, yv, sample_indices, gen, binned)
-
-    def fit(self, X, y, sample_indices=None, binned=None) -> "RegressionTree":
+    def fit(self, X, y, sample_indices=None) -> "RegressionTree":
         """Grow the tree on (X, y).
 
         ``sample_indices`` optionally restricts training to a row subset
         (used by bagging to avoid copying the feature matrix).  With
-        ``tree_method="hist"``, ``binned`` optionally supplies the
-        pre-binned :class:`~repro.ml.binning.BinnedMatrix` of *X* so the
-        one-time binning pass is shared across trees/rounds/folds.
+        ``tree_method="hist"`` the tree bins *X* and fits through
+        :meth:`fit_binned`.
         """
         Xv, yv = validate_fit_inputs(X, y)
-        gen = check_random_state(self.rng)
         if self.tree_method == "hist":
-            return self._fit_hist(Xv, yv, sample_indices, gen, binned)
+            from .binning import BinMapper
+
+            return self.fit_binned(
+                BinMapper().fit_transform(Xv), yv, sample_indices
+            )
+        gen = check_random_state(self.rng)
         n, d = Xv.shape
         root = np.arange(n, dtype=np.intp)
         if sample_indices is not None:

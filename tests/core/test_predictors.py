@@ -95,6 +95,24 @@ class TestFewRunsPredictor:
         assert np.isfinite(dist.sample(100, rng=rng)).all()
 
 
+class TestConstructorsRejectRegistryNames:
+    """Registry names go through ``from_config``; the constructors take
+    instances and reject a name before any fitting starts."""
+
+    @pytest.mark.parametrize("cls", [FewRunsPredictor, CrossSystemPredictor])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"model": "knn"},
+            {"representation": "histogram"},
+            {"model": "knn", "representation": "histogram"},
+        ],
+    )
+    def test_name_rejected(self, cls, kwargs):
+        with pytest.raises(ValidationError, match=r"from_config\(PredictConfig"):
+            cls(**kwargs)
+
+
 class TestBuildCrossSystemRows:
     def test_feature_layout(self, amd_campaigns, intel_campaigns):
         rep = PearsonRndRepresentation()

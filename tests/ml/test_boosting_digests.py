@@ -13,8 +13,8 @@ straddles a split threshold.
 
 Solo cases fit ``X`` directly and predict ``X`` plus a few unseen rows.
 Fold cases predict each LOGO fold's scaled probe row the way the
-evaluation engine fits a fold: robust-scaled training rows with the
-shared binned matrix re-expressed in the fold's scaling.  The
+evaluation engine fits a fold: ``fit_binned`` on the shared binned
+matrix re-expressed in the fold's robust scaling.  The
 ``lossless`` fixtures keep every column at or under 255 distinct values
 (one bin per value, like every grid design); the ``lossy`` fixtures
 give every column more distinct values than bins.
@@ -65,7 +65,7 @@ def solo_fixture(name: str):
 
 
 def fold_fixture(name: str):
-    """(X, Y, binned, folds) of a LOGO fold fixture; each fold is
+    """(Y, binned, folds) of a LOGO fold fixture; each fold is
     ``(mask, center, scale, scaled probe row)``."""
     groups_n, rows_per, d, k = {
         "lossless": (4, 16, 12, 3),
@@ -83,19 +83,15 @@ def fold_fixture(name: str):
         scaler = RobustScaler().fit(X[mask])
         xp = scaler.transform(r.normal(size=(1, d)))[0]
         folds.append((mask, scaler.center_, scaler.scale_, xp))
-    return X, Y, binned, folds
+    return Y, binned, folds
 
 
-def per_fold_vectors(est, X, Y, binned, folds) -> np.ndarray:
-    """Each fold fitted solo from its scaled rows and scaled bins."""
-    scaler = RobustScaler()
+def per_fold_vectors(est, Y, binned, folds) -> np.ndarray:
+    """Each fold fitted solo from the shared bins in its scaling."""
     out = []
     for mask, center, scale, xp in folds:
-        scaler.center_, scaler.scale_ = center, scale
-        fitted = est.clone().fit(
-            scaler.transform(X[mask]),
-            Y[mask],
-            binned=binned.scaled(center, scale).take_rows(mask),
+        fitted = est.clone().fit_binned(
+            binned.scaled(center, scale).take_rows(mask), Y[mask]
         )
         out.append(fitted.predict(xp[None, :])[0])
     return np.stack(out)
@@ -157,10 +153,10 @@ def test_hist_fit_binned(name, subsample, colsample):
 @pytest.mark.parametrize("name", ["lossless", "lossy"])
 @pytest.mark.parametrize("subsample,colsample", GRID)
 def test_hist_folds(name, subsample, colsample):
-    X, Y, binned, folds = fold_fixture(name)
+    Y, binned, folds = fold_fixture(name)
     est = model(subsample, colsample)
     expected = FOLDS_HIST[name, subsample, colsample]
-    assert digest(per_fold_vectors(est, X, Y, binned, folds)) == expected
+    assert digest(per_fold_vectors(est, Y, binned, folds)) == expected
     assert digest(np.stack(fit_predict_folds(est, binned, Y, folds))) == expected
 
 

@@ -86,6 +86,19 @@ class TestLosslessParity:
         ph = RegressionTree(max_depth=5, tree_method="hist").fit(X, Y).predict(X)
         np.testing.assert_allclose(pe, ph, rtol=0, atol=1e-12)
 
+    def test_wide_nodes_match_exact(self):
+        # Coarse features (8 distinct values => 8 bins) give nodes many
+        # times wider than the bin axis, down to several levels below
+        # the root; the rank-rect scan must still grow the exact
+        # kernel's tree node for node there.
+        r = np.random.default_rng(7)
+        n, d, k = 400, 6, 3
+        X = r.integers(0, 8, size=(n, d)).astype(np.float64)
+        Y = _integer_targets(r, n, k, X)
+        exact = RegressionTree(max_depth=6).fit(X, Y)
+        hist = RegressionTree(max_depth=6, tree_method="hist").fit(X, Y)
+        assert_trees_equal(exact, hist)
+
 
 class TestForestJointGrowth:
     """Batch-grown forest == growing each tree solo from its seed."""
@@ -138,6 +151,31 @@ class TestForestJointGrowth:
         with pytest.raises(ValidationError):
             RandomForestRegressor(2).fit_binned(binned, np.zeros(4))
 
+    def test_single_feature_tree_ignores_its_batch(self):
+        # A lone single-feature tree equals itself grown next to another
+        # tree: one (node, feature) segment per call must not score
+        # differently from several.
+        r = np.random.default_rng(10)
+        n, B = 64, 4
+        codes = r.integers(0, B, size=(n, 1)).astype(np.uint8)
+        binned = BinMapper().fit_transform(codes.astype(np.float64))
+        y = r.normal(size=(n, 1))
+
+        def grow(specs):
+            grown, _ = grow_trees(
+                binned, y.astype(np.float32), y.copy(), specs, n_cand=1,
+                max_depth=3, min_samples_split=2, min_samples_leaf=1,
+            )
+            return grown[0]
+
+        alone = grow([TreeSpec(rows=np.arange(32))])
+        batched = grow([TreeSpec(rows=np.arange(32)),
+                        TreeSpec(rows=np.arange(32, 64))])
+        for name in ("feature", "bin_left", "bin_right", "value"):
+            np.testing.assert_array_equal(
+                getattr(alone, name), getattr(batched, name)
+            )
+
 
 class TestBoostingLockstep:
     """All-folds lockstep == per-fold solo fits on the shared binned codes."""
@@ -156,10 +194,10 @@ class TestBoostingLockstep:
             scaler = RobustScaler().fit(X[mask])
             xp = scaler.transform(r.normal(size=(1, d)))
             folds.append((mask, scaler.center_, scaler.scale_, xp[0]))
-        return X, Y, binned, folds
+        return Y, binned, folds
 
     def test_lockstep_matches_solo(self):
-        X, Y, binned, folds = self._fold_setup()
+        Y, binned, folds = self._fold_setup()
         model = GradientBoostingRegressor(
             10,
             learning_rate=0.3,
@@ -169,15 +207,9 @@ class TestBoostingLockstep:
             tree_method="hist",
         )
         preds = fit_predict_folds(model, binned, Y, folds)
-        scaler = RobustScaler()
         for (mask, center, scale, xp), joint in zip(folds, preds):
-            scaler.center_, scaler.scale_ = center, scale
             fb = binned.scaled(center, scale).take_rows(mask)
-            solo = (
-                model.clone()
-                .fit(scaler.transform(X[mask]), Y[mask], binned=fb)
-                .predict(xp[None, :])[0]
-            )
+            solo = model.clone().fit_binned(fb, Y[mask]).predict(xp[None, :])[0]
             np.testing.assert_array_equal(joint, solo)
 
     def test_fit_binned_matches_fit(self):
@@ -189,7 +221,7 @@ class TestBoostingLockstep:
             n_estimators=6, max_depth=3, colsample_bytree=0.5, rng=5,
             tree_method="hist",
         )
-        a = GradientBoostingRegressor(**params).fit(X, Y, binned=binned)
+        a = GradientBoostingRegressor(**params).fit(X, Y)
         b = GradientBoostingRegressor(**params).fit_binned(binned, Y)
         np.testing.assert_array_equal(a.predict(X), b.predict(X))
 
@@ -204,7 +236,7 @@ class TestBoostingLockstep:
             n_estimators=6, max_depth=3, subsample=0.5, rng=5,
             tree_method="hist",
         )
-        a = GradientBoostingRegressor(**params).fit(X, Y, binned=binned)
+        a = GradientBoostingRegressor(**params).fit(X, Y)
         b = GradientBoostingRegressor(**params).fit_binned(binned, Y)
         np.testing.assert_array_equal(a.predict(X), b.predict(X))
 
@@ -313,164 +345,6 @@ class TestBoostingLoopProperties:
             replay = _replay_fold(est, Xs, Y[mask], fb, xp)
             np.testing.assert_array_equal(vector, solo)
             np.testing.assert_array_equal(vector, replay)
-
-
-def _node_entries(codes, rows):
-    """Entry arrays of one node: feature-major, stably code-sorted."""
-    segs_r, segs_c = [], []
-    for f in range(codes.shape[1]):
-        col = codes[rows, f]
-        o = np.argsort(col, kind="stable")
-        segs_r.append(rows[o].astype(np.int32))
-        segs_c.append(col[o])
-    return np.concatenate(segs_r), np.concatenate(segs_c)
-
-
-class TestHistogramSubtraction:
-    """parent - child reproduces the sibling's directly built histogram."""
-
-    @staticmethod
-    def _histograms(codes, y32, rows_list, B, sub_ctx=None):
-        from repro.ml.hist import GrowStats, _score_hist
-
-        er = np.concatenate(
-            [_node_entries(codes, rows)[0] for rows in rows_list]
-        )
-        ec = np.concatenate(
-            [_node_entries(codes, rows)[1] for rows in rows_list]
-        )
-        msel = np.array([len(rows) for rows in rows_list], dtype=np.int64)
-        stats = GrowStats()
-        out = _score_hist(
-            er, ec, msel, codes.shape[1], B, y32, 1, sub_ctx, stats, False
-        )
-        return out[4], out[5], stats
-
-    @pytest.mark.parametrize(
-        "n,d,B,k,seed",
-        [(80, 5, 6, 3, 0), (123, 7, 9, 4, 1), (57, 3, 4, 1, 2),
-         (240, 6, 16, 8, 3)],
-    )
-    def test_derived_sibling_matches_direct_build(self, n, d, B, k, seed):
-        r = np.random.default_rng(seed)
-        codes = r.integers(0, B, size=(n, d)).astype(np.uint8)
-        y32 = r.normal(size=(n, k)).astype(np.float32)
-        rows = np.arange(n)
-        go_right = codes[:, 0] > (B - 1) // 2
-        small, big = rows[~go_right], rows[go_right]
-        if small.size > big.size:
-            small, big = big, small
-        assert small.size and big.size, "fixture must split both ways"
-
-        ph_cnt, ph_sum, _ = self._histograms(codes, y32, [rows], B)
-        cnt_d, sum_d, st_d = self._histograms(codes, y32, [big], B)
-        assert st_d.hist_subtractions == 0
-        sub_ctx = (ph_cnt, ph_sum, np.array([0, 0]), np.array([3, 3]))
-        cnt_s, sum_s, st_s = self._histograms(
-            codes, y32, [small, big], B, sub_ctx=sub_ctx
-        )
-        assert st_s.hist_subtractions == 1
-
-        # Counts are integers: subtraction must be bitwise exact.
-        np.testing.assert_array_equal(cnt_s[1], cnt_d[0])
-        # float32 sums may differ from a direct build only by
-        # association noise, bounded per cell by the parent magnitude.
-        abs_cell = np.zeros((d, B, k))
-        for f in range(d):
-            for j in range(k):
-                abs_cell[f, :, j] = np.bincount(
-                    codes[:, f], weights=np.abs(y32[:, j]), minlength=B
-                )
-        tol = 16 * np.finfo(np.float32).eps * (abs_cell + 1.0)
-        assert np.all(np.abs(sum_s[1] - sum_d[0]) <= tol)
-
-    def test_single_segment_keeps_raw_histogram(self):
-        # One node scored on one feature: the histogram retained for
-        # sibling subtraction must be the raw per-bin sums it gets when
-        # scored next to another node, not their prefix scan.
-        r = np.random.default_rng(5)
-        n, B = 40, 4
-        codes = r.integers(0, B, size=(n, 1)).astype(np.uint8)
-        y32 = r.normal(size=(n, 2)).astype(np.float32)
-        rows = np.arange(n)
-        _, alone, _ = self._histograms(codes, y32, [rows], B)
-        _, batched, _ = self._histograms(codes, y32, [rows, rows[::2]], B)
-        np.testing.assert_array_equal(alone[0], batched[0])
-
-    def test_single_feature_tree_ignores_its_batch(self):
-        # Sibling subtraction below a lone single-feature root must use
-        # the raw root histogram, so the tree equals itself grown next
-        # to another tree (a fixture on which the split below the root
-        # moves when the retained root histogram is prefix-scanned).
-        r = np.random.default_rng(10)
-        n, B = 64, 4
-        codes = r.integers(0, B, size=(n, 1)).astype(np.uint8)
-        binned = BinMapper().fit_transform(codes.astype(np.float64))
-        y = r.normal(size=(n, 1))
-
-        def grow(specs):
-            grown, _ = grow_trees(
-                binned, y.astype(np.float32), y.copy(), specs, n_cand=1,
-                max_depth=3, min_samples_split=2, min_samples_leaf=1,
-            )
-            return grown[0]
-
-        alone = grow([TreeSpec(rows=np.arange(32))])
-        batched = grow([TreeSpec(rows=np.arange(32)),
-                        TreeSpec(rows=np.arange(32, 64))])
-        for name in ("feature", "bin_left", "bin_right", "value"):
-            np.testing.assert_array_equal(
-                getattr(alone, name), getattr(batched, name)
-            )
-
-    def test_integer_targets_subtract_bitwise(self):
-        r = np.random.default_rng(9)
-        n, d, B, k = 150, 4, 8, 3
-        codes = r.integers(0, B, size=(n, d)).astype(np.uint8)
-        y32 = r.integers(-5, 6, size=(n, k)).astype(np.float32)
-        rows = np.arange(n)
-        go_right = codes[:, 1] > B // 2
-        small, big = rows[~go_right], rows[go_right]
-        if small.size > big.size:
-            small, big = big, small
-
-        ph_cnt, ph_sum, _ = self._histograms(codes, y32, [rows], B)
-        cnt_d, sum_d, _ = self._histograms(codes, y32, [big], B)
-        sub_ctx = (ph_cnt, ph_sum, np.array([0, 0]), np.array([1, 1]))
-        cnt_s, sum_s, _ = self._histograms(
-            codes, y32, [small, big], B, sub_ctx=sub_ctx
-        )
-        np.testing.assert_array_equal(cnt_s[1], cnt_d[0])
-        # Small-integer sums are exact in float32, so even the float
-        # plane is bitwise under subtraction.
-        np.testing.assert_array_equal(sum_s[1], sum_d[0])
-
-    def test_subtraction_regime_matches_exact_kernel(self):
-        # Coarse features (8 distinct values => B=8) keep nodes much
-        # wider than the bin axis, so the dense-histogram regime and
-        # sibling subtraction both engage — and the grown tree must
-        # still match the exact kernel node for node.
-        r = np.random.default_rng(7)
-        n, d, k = 400, 6, 3
-        X = r.integers(0, 8, size=(n, d)).astype(np.float64)
-        Y = _integer_targets(r, n, k, X)
-        exact = RegressionTree(max_depth=6).fit(X, Y)
-        hist = RegressionTree(max_depth=6, tree_method="hist").fit(X, Y)
-        assert_trees_equal(exact, hist)
-
-        binned = BinMapper().fit_transform(X)
-        _, stats = grow_trees(
-            binned,
-            Y.astype(np.float32),
-            Y,
-            [TreeSpec(rows=np.arange(n))],
-            n_cand=d,
-            max_depth=6,
-            min_samples_split=2,
-            min_samples_leaf=1,
-        )
-        assert stats.hist_subtractions > 0
-        assert stats.rows_partitioned > 0
 
 
 class TestFusedResiduals:
@@ -583,15 +457,14 @@ class TestValidation:
         ):
             assert model.clone().tree_method == "hist"
 
-    def test_binned_shape_mismatch_rejected(self):
-        r = np.random.default_rng(0)
-        X = r.normal(size=(20, 4))
-        binned = BinMapper().fit_transform(r.normal(size=(10, 4)))
-        with pytest.raises(ValidationError):
-            RandomForestRegressor(2, tree_method="hist").fit(
-                X, np.zeros(20), binned=binned
-            )
-        with pytest.raises(ValidationError):
-            GradientBoostingRegressor(2, tree_method="hist").fit(
-                X, np.zeros(20), binned=binned
-            )
+    def test_fit_takes_no_binned_matrix(self):
+        # fit bins X itself; fit_binned is the one pre-binned entry.
+        X = np.random.default_rng(0).normal(size=(20, 4))
+        binned = BinMapper().fit_transform(X)
+        for model in (
+            RegressionTree(tree_method="hist"),
+            RandomForestRegressor(2, tree_method="hist"),
+            GradientBoostingRegressor(2, tree_method="hist"),
+        ):
+            with pytest.raises(TypeError):
+                model.fit(X, np.zeros(20), binned=binned)

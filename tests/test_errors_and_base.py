@@ -1,5 +1,7 @@
 """Tests for the exception hierarchy and estimator base plumbing."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,11 @@ from repro.errors import (
     ValidationError,
 )
 from repro.ml.base import Regressor, validate_fit_inputs
+from repro.ml.binning import BinMapper
+from repro.ml.boosting import GradientBoostingRegressor
+from repro.ml.forest import RandomForestRegressor
 from repro.ml.knn import KNNRegressor
+from repro.ml.tree import RegressionTree
 
 
 class TestHierarchy:
@@ -59,6 +65,52 @@ class TestValidateFitInputs:
     def test_nan_features_rejected(self):
         with pytest.raises(ValidationError):
             validate_fit_inputs([[np.nan]], [1.0])
+
+
+#: A fresh unfitted instance of every model on every kernel it has.
+MODELS = {"knn": lambda: KNNRegressor(3)}
+for _method in ("exact", "hist"):
+    MODELS[f"tree-{_method}"] = partial(RegressionTree, tree_method=_method)
+    MODELS[f"forest-{_method}"] = partial(
+        RandomForestRegressor, 3, rng=0, tree_method=_method
+    )
+    MODELS[f"boosting-{_method}"] = partial(
+        GradientBoostingRegressor, 3, rng=0, tree_method=_method
+    )
+
+
+class TestDegenerateTargets:
+    """A non-finite or misshapen target is a typed error on every model
+    and both fit entries, never a fitted model that predicts NaN."""
+
+    X = np.arange(8.0).reshape(-1, 1)
+
+    @classmethod
+    def _entries(cls, name):
+        """``fit(X, .)``, plus ``fit_binned(binned X, .)`` for hist models."""
+        model = MODELS[name]()
+        yield lambda y: model.fit(cls.X, y)
+        if name.endswith("-hist"):
+            binned = BinMapper().fit_transform(cls.X)
+            yield lambda y: model.fit_binned(binned, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_nonfinite_target_rejected(self, name, bad):
+        for fit in self._entries(name):
+            y = np.arange(8.0)
+            y[3] = bad
+            with pytest.raises(ValidationError, match="y contains NaN or infinite"):
+                fit(y)
+            with pytest.raises(ValidationError):
+                fit(np.zeros((8, 2, 2)))
+            with pytest.raises(ValidationError):
+                fit(np.zeros(7))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_finite_target_still_fits(self, name):
+        for fit in self._entries(name):
+            assert np.isfinite(fit(np.arange(8.0)).predict(self.X)).all()
 
 
 class TestRegressorBase:
