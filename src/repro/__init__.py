@@ -27,24 +27,55 @@ Package map
 * :mod:`repro.obs` — metrics/tracing (contract in docs/OBSERVABILITY.md).
 """
 
-from . import registry
-from .core import (
-    CrossSystemPredictor,
-    EvalConfig,
-    FewRunsPredictor,
-    HistogramRepresentation,
-    PearsonRndRepresentation,
-    PredictConfig,
-    PyMaxEntRepresentation,
-    QuantileSketch,
-    SampleProbe,
-    SketchProbe,
-    as_probe,
-    evaluate_cross_system,
-    evaluate_few_runs,
-    summarize_ks,
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+# Every public name is imported on first use, so ``import repro`` (and
+# every subpackage import, such as the fleet router's) loads no numpy.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".registry": ("registry",),
+        ".core": (
+            "CrossSystemPredictor",
+            "EvalConfig",
+            "FewRunsPredictor",
+            "HistogramRepresentation",
+            "PearsonRndRepresentation",
+            "PredictConfig",
+            "PyMaxEntRepresentation",
+            "QuantileSketch",
+            "SampleProbe",
+            "SketchProbe",
+            "as_probe",
+            "evaluate_cross_system",
+            "evaluate_few_runs",
+            "summarize_ks",
+        ),
+        ".simbench": ("benchmark_names", "measure_all", "run_campaign"),
+    },
 )
-from .simbench import benchmark_names, measure_all, run_campaign
+
+if TYPE_CHECKING:
+    from . import registry
+    from .core import (
+        CrossSystemPredictor,
+        EvalConfig,
+        FewRunsPredictor,
+        HistogramRepresentation,
+        PearsonRndRepresentation,
+        PredictConfig,
+        PyMaxEntRepresentation,
+        QuantileSketch,
+        SampleProbe,
+        SketchProbe,
+        as_probe,
+        evaluate_cross_system,
+        evaluate_few_runs,
+        summarize_ks,
+    )
+    from .simbench import benchmark_names, measure_all, run_campaign
 
 __version__ = "5.0.0"
 

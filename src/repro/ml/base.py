@@ -70,7 +70,7 @@ def validate_predict_input(model: "Regressor", X) -> np.ndarray:
         raise NotFittedError(f"{type(model).__name__} must be fitted before predict")
     Xv = check_2d(X, name="X")
     if Xv.shape[1] != model.n_features_:
-        raise ValueError(
+        raise ValidationError(
             f"{type(model).__name__} was fitted with {model.n_features_} features "
             f"but predict received {Xv.shape[1]}"
         )

@@ -38,11 +38,31 @@ pulled in by ``import repro``; the serving metric contract lives in
 ``docs/OBSERVABILITY.md``, the operational guide in ``docs/SERVING.md``.
 """
 
-from .artifacts import ArtifactStore
-from .registry import DEFAULT_MODEL_ROOT, ModelRegistry
-from .serialization import from_bytes, to_bytes
-from .server import ServerHandle, ServingClient, serve
-from .service import PredictionService, ServingConfig
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+# Resolved on first use: the fleet router imports this package but not
+# the service, its protocol or numpy.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".artifacts": ("ArtifactStore",),
+        ".registry": ("DEFAULT_MODEL_ROOT", "ModelRegistry"),
+        ".serialization": ("from_bytes", "to_bytes"),
+        ".server": ("ServerHandle", "ServingClient", "serve"),
+        ".config": ("ServingConfig",),
+        ".service": ("PredictionService",),
+    },
+)
+
+if TYPE_CHECKING:
+    from .artifacts import ArtifactStore
+    from .registry import DEFAULT_MODEL_ROOT, ModelRegistry
+    from .serialization import from_bytes, to_bytes
+    from .server import ServerHandle, ServingClient, serve
+    from .config import ServingConfig
+    from .service import PredictionService
 
 __all__ = [
     "ArtifactStore",

@@ -40,13 +40,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _fit_or_reuse(args: argparse.Namespace) -> ModelRegistry:
-    """Shared fit-or-load step for the ``serve`` and ``fleet`` commands."""
-    from ..core.config import PredictConfig
-    from ..core.predictors import FewRunsPredictor
-    from ..simbench import measure_all
+    """Shared fit-or-load step for the ``serve`` and ``fleet`` commands.
 
+    The fitting stack (and numpy) is imported only when the tag is
+    missing: a fleet that reuses a stored model keeps it out of the
+    router process.
+    """
     registry = ModelRegistry(args.root)
     if args.tag not in registry.store.tags():
+        from ..core.config import PredictConfig
+        from ..core.predictors import FewRunsPredictor
+        from ..simbench import measure_all
+
         campaigns = measure_all(args.system, n_runs=args.n_runs)
         predictor = FewRunsPredictor.from_config(
             PredictConfig(model=args.model, representation=args.representation)

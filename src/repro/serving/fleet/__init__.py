@@ -23,13 +23,34 @@ Operations story (topology, admission math, runbook):
 ``docs/FLEET.md``.  Metric contract: ``docs/OBSERVABILITY.md``.
 """
 
-from .admission import AdmissionConfig, AdmissionSnapshot, KingmanAdmission
-from .feedback import predict_fleet_p99, samples_to_campaign
-from .handle import FleetHandle
-from .messages import OP_DRAIN, OP_FLEET, OP_HEALTH
-from .partition import PartitionMap, shard_score
-from .router import FleetRouter, ShardLink
-from .shard import run_shard
+from typing import TYPE_CHECKING
+
+from ..._lazy import lazy_exports
+
+# Resolved on first use: the router process imports the handle and the
+# router, and none of admission (which imports repro.stats) or the
+# feedback loop, which load numpy.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".admission": ("AdmissionConfig", "AdmissionSnapshot", "KingmanAdmission"),
+        ".feedback": ("predict_fleet_p99", "samples_to_campaign"),
+        ".handle": ("FleetHandle",),
+        ".messages": ("OP_DRAIN", "OP_FLEET", "OP_HEALTH"),
+        ".partition": ("PartitionMap", "shard_score"),
+        ".router": ("FleetRouter", "ShardLink"),
+        ".shard": ("run_shard",),
+    },
+)
+
+if TYPE_CHECKING:
+    from .admission import AdmissionConfig, AdmissionSnapshot, KingmanAdmission
+    from .feedback import predict_fleet_p99, samples_to_campaign
+    from .handle import FleetHandle
+    from .messages import OP_DRAIN, OP_FLEET, OP_HEALTH
+    from .partition import PartitionMap, shard_score
+    from .router import FleetRouter, ShardLink
+    from .shard import run_shard
 
 __all__ = [
     "AdmissionConfig",

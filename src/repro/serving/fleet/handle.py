@@ -7,34 +7,45 @@ root and a shard count, and it
 1. starts a :class:`~repro.serving.fleet.router.FleetRouter` on a
    :class:`~repro.serving.server.BackgroundLoop` (the loop host
    ``ServerHandle`` uses) and binds the client-facing port;
-2. spawns every shard as a :class:`~repro.parallel.procs.SpawnedProcess`
-   running :func:`~repro.serving.fleet.shard.run_shard` before it waits
-   on any, so their start-ups overlap; then, in shard-id order, waits
-   for each ready handshake (the bound port) and joins the shard to the
-   router's partition map, so map versions and placement do not depend
-   on which shard came up first;
+2. starts every shard as a :class:`~repro.parallel.procs.SpawnedProcess`
+   (a plain child process of this interpreter, its stdin held open as
+   the liveness pipe) running :func:`~repro.serving.fleet.shard.run_shard`
+   before it waits on any, so their start-ups overlap; then, in
+   shard-id order, waits for each ready handshake (the bound port) and
+   joins the shard to the router's partition map, so map versions and
+   placement do not depend on which shard came up first;
 3. exposes synchronous ``add_shard`` / ``remove_shard`` / ``info`` /
    ``close`` so tests, the bench harness, and the CLI drive rebalances
    without touching asyncio.
+
+The handle lives in the router process, which loads no numpy: it
+imports the shard module only to name its entry point, and hands the
+shards their admission config untouched (``None``: each shard builds
+the defaults), so the admission gate and its statistics load only in
+the shards.
 
 Teardown order is the graceful one end to end: the router drains every
 shard over TCP (the shard answers everything in flight and exits its
 own process), and only then does the handle escalate through
 ``SpawnedProcess.stop`` — which at that point is a quick cooperative
-join.
+wait.  If the router process dies instead, each shard sees EOF on its
+stdin and drains itself.
 """
 
 from __future__ import annotations
 
-from ..._validation import check_positive_int
+from typing import TYPE_CHECKING
+
 from ...errors import ValidationError
 from ...parallel.procs import SpawnedProcess
+from ..config import ServingConfig
 from ..server import BackgroundLoop, ServingClient
-from ..service import ServingConfig
-from .admission import AdmissionConfig
 from .messages import OP_FLEET, parse_shard_ready
 from .router import FleetRouter
 from .shard import run_shard
+
+if TYPE_CHECKING:
+    from .admission import AdmissionConfig
 
 __all__ = ["FleetHandle"]
 
@@ -55,10 +66,11 @@ class FleetHandle:
         hot_threshold: int = 16,
     ) -> None:
         """Start the router and *n_shards* shard processes, fully joined."""
-        check_positive_int(n_shards, name="n_shards")
+        if n_shards < 1:
+            raise ValidationError("n_shards must be >= 1")
         self._store_root = str(store_root)
         self._serving_config = serving_config or ServingConfig()
-        self._admission_config = admission_config or AdmissionConfig()
+        self._admission_config = admission_config
         self.host = host
         self._next_shard = 0
         self._procs: dict[str, SpawnedProcess] = {}

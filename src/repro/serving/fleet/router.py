@@ -32,18 +32,19 @@ request shortly after its deadline (a torn or lost reply).
 
 from __future__ import annotations
 
+import array
 import asyncio
+import base64
 import json
+import sys
 from collections import deque
-
-import numpy as np
 
 from ... import obs
 from ...errors import ArtifactError, ValidationError
-from ..protocol import encode_array, error, ok
+from ..config import ServingConfig
 from ..registry import ModelRegistry
+from ..replies import error, ok
 from ..server import _MAX_LINE_BYTES, Endpoint, models_op, ping
-from ..service import ServingConfig
 from .messages import OP_DRAIN, OP_FLEET, OP_HEALTH
 from .partition import PartitionMap
 
@@ -447,8 +448,19 @@ class FleetRouter:
                 health[shard_id] = error(503, "link down")
         body = ok(map=self._map.to_wire(), router=dict(self._counters), health=health)
         if payload.get("samples"):
-            samples = np.asarray(list(self._samples), dtype=np.float64)
-            samples = samples.reshape(-1, 3)
-            body["latency_samples"] = encode_array(samples)
-            body["latency_samples_shape"] = list(samples.shape)
+            body["latency_samples"] = _encode_rows(self._samples)
+            body["latency_samples_shape"] = [len(self._samples), 3]
         return body
+
+
+def _encode_rows(rows) -> str:
+    """Base64 little-endian float64 bytes of *rows* of numbers, row-major.
+
+    Byte for byte what :func:`~repro.serving.protocol.encode_array` gives
+    for the same rows as a float64 array, without importing numpy: the
+    router process never loads it.
+    """
+    flat = array.array("d", [value for row in rows for value in row])
+    if sys.byteorder == "big":
+        flat.byteswap()
+    return base64.b64encode(flat.tobytes()).decode("ascii")

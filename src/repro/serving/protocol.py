@@ -37,6 +37,7 @@ import numpy as np
 
 from ..data.dataset import RunCampaign
 from ..errors import ValidationError
+from .replies import error, ok
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -325,18 +326,4 @@ def predict_request(
         body["deadline_s"] = float(deadline_s)
     if request_id is not None:
         body["id"] = request_id
-    return body
-
-
-def ok(**fields) -> dict:
-    """A status-200 response body."""
-    body = {"status": 200}
-    body.update(fields)
-    return body
-
-
-def error(status: int, message: str, **fields) -> dict:
-    """An error response body with HTTP-style *status*."""
-    body = {"status": int(status), "error": message}
-    body.update(fields)
     return body

@@ -21,7 +21,7 @@ from collections import OrderedDict
 from pathlib import Path
 
 from .. import obs
-from .._validation import check_positive_int
+from ..errors import ValidationError
 from .artifacts import ArtifactStore
 from .serialization import from_bytes, peek_header, to_bytes
 
@@ -37,7 +37,8 @@ class ModelRegistry:
 
     def __init__(self, root=DEFAULT_MODEL_ROOT, *, cache_size: int = 8) -> None:
         """Open a registry over *root*, keeping *cache_size* hydrated models."""
-        check_positive_int(cache_size, name="cache_size")
+        if cache_size < 1:
+            raise ValidationError("cache_size must be >= 1")
         self.store = ArtifactStore(root)
         self.cache_size = cache_size
         self._cache: OrderedDict[str, object] = OrderedDict()

@@ -30,6 +30,10 @@ Two deployment shapes:
 
 :class:`ServingClient` is the matching synchronous client: one socket,
 blocking JSONL request/response, no third-party dependencies.
+
+The fleet router shares this endpoint layer and loads no numpy, so the
+module imports the service (in :func:`serve`) and the protocol's probe
+codecs (in :meth:`ServingClient.predict`) only where they are called.
 """
 
 from __future__ import annotations
@@ -40,11 +44,15 @@ import json
 import socket
 import threading
 from collections.abc import Awaitable, Callable
+from typing import TYPE_CHECKING
 
 from ..errors import ValidationError
-from .protocol import error, ok, predict_request
-from .registry import ModelRegistry
-from .service import PredictionService, ServingConfig
+from .replies import error, ok
+
+if TYPE_CHECKING:
+    from .config import ServingConfig
+    from .registry import ModelRegistry
+    from .service import PredictionService
 
 __all__ = ["Endpoint", "serve", "ServerHandle", "ServingClient"]
 
@@ -255,6 +263,8 @@ async def serve(
     endpoint's own connection and answer tasks, so the server can share
     a loop with the rest of an asyncio program.
     """
+    from .service import PredictionService
+
     service = PredictionService(registry, config, admission=admission)
     endpoint = Endpoint(service_ops(service))
     await endpoint.start(host=host, port=port)  # a failed bind starts nothing
@@ -415,6 +425,8 @@ class ServingClient:
         :class:`~repro.core.sketch.SketchProbe`; the request goes out as
         a v2 body (``probe_kind`` + encoded probe).
         """
+        from .protocol import predict_request
+
         body = predict_request(
             model,
             probe,

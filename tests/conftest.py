@@ -7,6 +7,8 @@ once per session.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,37 @@ def rng():
 @pytest.fixture(scope="session")
 def all_benchmark_names():
     return benchmark_names()
+
+
+def _stat(pid: int) -> tuple[str, int] | None:
+    """``(state, ppid)`` of *pid* from ``/proc/<pid>/stat``; None once gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except OSError:
+        return None
+    # The command name is parenthesised and may hold spaces.
+    state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+    return state, int(ppid)
+
+
+def is_running(pid: int) -> bool:
+    """Whether *pid* exists and is not a zombie."""
+    stat = _stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def live_children(pid: int | None = None) -> set[int]:
+    """Running (not zombie) children of *pid* (default: this process).
+
+    Read from ``/proc``, so it sees every child: plain subprocesses as
+    well as ``multiprocessing`` ones and its resource tracker.
+    """
+    pid = os.getpid() if pid is None else pid
+    children = set()
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _stat(int(entry))
+            if stat is not None and stat[1] == pid and stat[0] != "Z":
+                children.add(int(entry))
+    return children

@@ -20,9 +20,12 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.predictors import FewRunsPredictor
 from repro.serving import ModelRegistry, PredictionService, ServingConfig
@@ -34,9 +37,11 @@ from repro.serving.fleet import (
     predict_fleet_p99,
     samples_to_campaign,
 )
+from repro.serving.fleet.router import _encode_rows
 from repro.serving.protocol import (
     MAX_SAMPLES,
     decode_array,
+    encode_array,
     encode_campaign,
     predict_request,
 )
@@ -191,6 +196,25 @@ class TestRoutingAndFleetOp:
         samples = decode_array(info["latency_samples"], shape=tuple(shape))
         assert samples.ndim == 2 and samples.shape[1] == 3
         assert np.all(samples[:, 0] > 0)  # latencies are positive seconds
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(0, 2**60),
+            st.integers(0, 64),
+        ),
+        max_size=40,
+    )
+)
+def test_router_encodes_samples_as_encode_array_does(rows):
+    """The router's numpy-free encoding of its ``(latency_s, inflight,
+    shard_ord)`` buffer is byte for byte ``encode_array`` of the same rows
+    as an ``(n, 3)`` float64 array, empty buffer included."""
+    expected = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    assert _encode_rows(deque(rows)) == encode_array(expected)
 
 
 class TestDeterministicShedding:

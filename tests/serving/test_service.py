@@ -562,6 +562,39 @@ class TestFieldValidation:
             np.asarray(good_reply["vector"]), cross_system_predictor.predict_vector(good)
         )
 
+    def test_probe_from_the_wrong_system_fails_alone(
+        self, registry, few_runs_predictor, intel_small, amd_small
+    ):
+        """An AMD probe (300 features) sent to an Intel model (272) gets
+        a 400; its batch-mate keeps a 200 bit-identical to predict_vector."""
+        good = intel_small["npb/cg"].subset(range(6))
+        wrong = amd_small["npb/cg"].subset(range(6))
+
+        async def scenario():
+            service = PredictionService(registry, ServingConfig(cache_enabled=False))
+            await service.start()
+            release = threading.Event()
+            service._executor.submit(release.wait)  # wedge: both share one batch
+            asyncio.get_running_loop().call_later(0.3, release.set)
+            try:
+                replies = await asyncio.gather(
+                    *(service.submit(_predict_payload(p)) for p in (good, wrong))
+                )
+            finally:
+                release.set()
+                await service.close()
+            return replies, service.stats()
+
+        (good_reply, wrong_reply), stats = asyncio.run(scenario())
+        assert stats["batch_size_histogram"] == {"2": 1}
+        assert wrong_reply["status"] == 400, wrong_reply
+        assert "expected 272 features, got 300" in wrong_reply["error"]
+        assert good_reply["status"] == 200, good_reply
+        assert (
+            np.asarray(good_reply["vector"]).tobytes()
+            == few_runs_predictor.predict_vector(good).tobytes()
+        )
+
     def test_max_samples_reply_stays_well_under_the_line_limit(self):
         line = json.dumps(ok(samples=encode_array(np.zeros(MAX_SAMPLES)))).encode()
         assert len(line) < _MAX_LINE_BYTES // 4

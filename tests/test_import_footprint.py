@@ -7,6 +7,9 @@ only ``pdf``/``cdf`` evaluation (analytic-CDF scoring, plots) reaches
 the fleet router, shards, grid pool workers), must not load it, nor
 ``scipy.optimize``. ``scipy.special`` (about 0.2 s and 20 MB) is the one
 module a Pearson draw can load, and only for type V.
+
+numpy is one of them too, for a process that only routes: a bare
+``import repro`` and the fleet router load none of it.
 """
 
 from __future__ import annotations
@@ -25,12 +28,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SCIPY = ("scipy.special", "scipy.stats", "scipy.optimize")
 
 
-def loaded_after(code: str) -> list[str]:
-    """The :data:`SCIPY` modules a fresh interpreter holds after *code*."""
+def loaded_after(code: str, modules=SCIPY) -> list[str]:
+    """The *modules* a fresh interpreter holds after *code*."""
     script = textwrap.dedent(code) + textwrap.dedent(
         f"""
         import json, sys
-        print(json.dumps([m for m in {SCIPY!r} if m in sys.modules]))
+        print(json.dumps([m for m in {tuple(modules)!r} if m in sys.modules]))
         """
     )
     out = subprocess.run(
@@ -49,6 +52,14 @@ def loaded_after(code: str) -> list[str]:
 )
 def test_fresh_import_leaves_scipy_stats_unloaded(module):
     assert "scipy.stats" not in loaded_after(f"import {module}")
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.serving.fleet.router"])
+def test_fresh_import_leaves_numpy_unloaded(module):
+    """The package and the fleet router resolve the numpy-backed layers
+    on first use only (the router's full module set is pinned in
+    ``tests/serving/test_fleet_startup.py``)."""
+    assert loaded_after(f"import {module}", ["numpy"]) == []
 
 
 def test_pearson_draws_of_every_type_but_v_load_no_scipy():

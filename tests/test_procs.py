@@ -1,12 +1,12 @@
-"""``SpawnedProcess``: the ready handshake and its failure paths.
+"""``SpawnedProcess``: the ready handshake, its failure paths, and the
+stdin liveness pipe.
 
-Targets are module-level because the ``spawn`` start method pickles
-them by reference.
+Targets are module-level because the launcher pickles them by
+reference.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 import time
@@ -14,6 +14,8 @@ import time
 import pytest
 
 from repro.parallel.procs import ProcessStartupError, SpawnedProcess
+
+from .conftest import live_children
 
 
 def send_pid(conn):
@@ -39,6 +41,14 @@ def stay_silent(conn):
     time.sleep(60)
 
 
+def exit_at_stdin_eof(conn):
+    """Handshake, then exit with code 7 once stdin closes."""
+    conn.send({"pid": os.getpid()})
+    conn.close()
+    sys.stdin.buffer.read()
+    sys.exit(7)
+
+
 def test_wait_ready_returns_the_payload():
     proc = SpawnedProcess(send_pid, name="repro-test-ok")
     try:
@@ -62,6 +72,7 @@ def test_wait_ready_returns_the_payload():
 def test_failed_handshake_raises_and_leaves_nothing_behind(
     target, start_timeout_s, message
 ):
+    children_before = live_children()
     proc = SpawnedProcess(
         target, name="repro-test-fail", start_timeout_s=start_timeout_s
     )
@@ -71,7 +82,7 @@ def test_failed_handshake_raises_and_leaves_nothing_behind(
     assert time.monotonic() - t0 < 30.0
     assert not proc.alive()
     assert proc._conn.closed
-    assert multiprocessing.active_children() == []
+    assert live_children() == children_before
 
 
 def test_stop_before_handshake_closes_the_pipe():
@@ -79,3 +90,14 @@ def test_stop_before_handshake_closes_the_pipe():
     proc.stop(grace_s=0.0)
     assert not proc.alive()
     assert proc._conn.closed
+
+
+def test_stop_closes_stdin_and_the_child_exits_on_its_own():
+    """Closing the liveness pipe is the first step of ``stop``: a child
+    watching its stdin exits with its own code, before any signal."""
+    proc = SpawnedProcess(exit_at_stdin_eof, name="repro-test-eof")
+    assert proc.wait_ready() == {"pid": proc.pid}
+    time.sleep(0.5)
+    assert proc.pid in live_children()  # still blocked on its stdin
+    assert proc.stop(grace_s=30.0) == 7
+    assert proc.pid not in live_children()
