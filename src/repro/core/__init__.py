@@ -18,12 +18,7 @@ from .evaluation import (
     summarize_ks,
 )
 from .features import FeatureConfig, feature_names, profile_features
-from .predictors import (
-    CrossSystemPredictor,
-    FewRunsPredictor,
-    build_cross_system_rows,
-    build_few_runs_rows,
-)
+from .predictors import CrossSystemPredictor, FewRunsPredictor
 from .representations import (
     REPRESENTATIONS,
     DistributionRepresentation,
@@ -66,8 +61,6 @@ __all__ = [
     "as_probe",
     "CrossSystemPredictor",
     "FewRunsPredictor",
-    "build_cross_system_rows",
-    "build_few_runs_rows",
     "REPRESENTATIONS",
     "DistributionRepresentation",
     "HistogramRepresentation",

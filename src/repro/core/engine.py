@@ -64,12 +64,11 @@ from ..ml.scaling import RobustScaler
 from ..parallel.seeding import seed_for
 from ..parallel.shm import attach
 from ..parallel.worker_pool import WorkerPool
+from .config import DEFAULT_PROBE_SEED
 from .features import FeatureConfig, profile_features
 from .representations import DistributionRepresentation
 
 __all__ = ["FewRunsDesign", "CrossSystemDesign", "logo_fold_vectors"]
-
-_PROBE_SEED = 909090
 
 
 def _fit_predict_fold(task) -> list[np.ndarray]:
@@ -178,7 +177,7 @@ def logo_fold_vectors(
 
     For a hist-mode model (``model.tree_method == "hist"``), ``binned``
     optionally supplies the pre-binned matrix of ``X`` (the engine's
-    designs cache one per encoding); when absent it is built here.  The
+    designs cache one per distinct ``X``); when absent it is built here.  The
     payload is then the binned codes and bounds instead of ``X``, so the
     one-time binning pass is shared by every fold.
 
@@ -197,7 +196,16 @@ def logo_fold_vectors(
     Results are bit-identical for any ``n_workers``, with or without a
     persistent pool, on either transport: each fold consumes only its
     own inputs and a deterministic model clone.
+
+    Raises :class:`~repro.errors.ValidationError` when ``groups`` holds
+    fewer than two benchmarks: a held-out fold would have no training
+    rows.
     """
+    n_benchmarks = np.unique(groups).size
+    if n_benchmarks < 2:
+        raise ValidationError(
+            f"leave-one-group-out needs at least two benchmarks, got {n_benchmarks}"
+        )
     names = sorted(probe_features)
     hist = _hist_model(model)
     if hist and binned is None:
@@ -272,27 +280,59 @@ def _dispatch_folds(
     return [vector for vectors in results for vector in vectors]
 
 
-class _VectorCacheMixin:
-    """Memoized (encoding, model, probe-spec) -> fold-prediction vectors."""
+class _Design:
+    """One LOGO pipeline over a design's encoded rows, for both use cases.
+
+    A design supplies two methods.  ``_encode(representation)`` returns
+    ``(X, Y, probe rows, fold-scaler cache)`` for one encoding: use case
+    1 shares one ``X``, probe-row set and scaler cache across every
+    encoding, while use case 2's ``X`` and probe rows embed the encoded
+    source distribution.  ``sketch_probe_features(representation,
+    probe_spec)`` returns the held-out rows recovered from
+    percentile-only probes.  This base caches the encoded rows per
+    encoding key, bins each distinct ``X`` once for hist-mode models,
+    memoizes fold predictions per (model, encoding, probe) and runs
+    :func:`logo_fold_vectors`.  A design sets ``groups`` (one benchmark
+    label per training row) and ``measured`` (name -> measured
+    relative times) in its constructor.
+    """
 
     def __init__(self) -> None:
+        self._matrices: dict[str, tuple] = {}
         self._fold_vectors: dict[tuple[str, str, str], dict[str, np.ndarray]] = {}
-        self._binned: dict[str, BinnedMatrix] = {}
+        self._binned: dict[int, BinnedMatrix] = {}
 
-    def _binned_matrix(self, X: np.ndarray, key: str) -> BinnedMatrix:
-        """Pre-binned *X*, cached next to the fold-vector memo.
+    def _encoded(self, representation: DistributionRepresentation) -> tuple:
+        """The design's ``_encode(representation)``, cached per encoding key."""
+        key = representation.encoding_key
+        cached = self._matrices.get(key)
+        if cached is None:
+            obs.counter("engine.targets.misses")
+            cached = self._matrices[key] = self._encode(representation)
+        else:
+            obs.counter("engine.targets.hits")
+        return cached
 
-        One :class:`~repro.ml.binning.BinMapper` fit per (X, encoding):
-        every tree, boosting round and LOGO fold of every hist-mode cell
-        with the same feature rows shares the codes.
+    def rows(self, representation: DistributionRepresentation):
+        """Training rows ``(X, Y, groups)`` under *representation*'s encoding."""
+        X, Y, _probe, _folds = self._encoded(representation)
+        return X, Y, self.groups
+
+    def _binned_matrix(self, X: np.ndarray) -> BinnedMatrix:
+        """Pre-binned *X*: one :class:`~repro.ml.binning.BinMapper` fit per matrix.
+
+        Keyed by identity: every ``X`` comes from the encoded-rows cache,
+        which holds it for the design's lifetime.  Use case 1 bins once
+        per grid, use case 2 once per encoding, and every tree, boosting
+        round and LOGO fold of every hist-mode cell on those rows shares
+        the codes.
         """
-        hit = self._binned.get(key)
+        hit = self._binned.get(id(X))
         if hit is not None:
             obs.counter("binning.cache_hits")
             return hit
         obs.counter("binning.cache_misses")
-        binned = BinMapper().fit_transform(X)
-        self._binned[key] = binned
+        binned = self._binned[id(X)] = BinMapper().fit_transform(X)
         return binned
 
     def fold_vectors(
@@ -329,32 +369,33 @@ class _VectorCacheMixin:
                 obs.counter("engine.fold_vectors.hits")
                 return hit
         obs.counter("engine.fold_vectors.misses")
-        vectors = self._compute_fold_vectors(
+        X, Y, probe, scaled_folds = self._encoded(representation)
+        if probe_spec is not None:
+            probe = self.sketch_probe_features(representation, probe_spec)
+        vectors = logo_fold_vectors(
+            X,
+            Y,
+            self.groups,
+            probe,
             model,
-            representation,
             n_workers=n_workers,
+            scaled_folds=scaled_folds,
             pool=pool,
-            probe_spec=probe_spec,
+            binned=self._binned_matrix(X) if _hist_model(model) else None,
         )
         if key is not None:
             self._fold_vectors[key] = vectors
         return vectors
 
-    def _compute_fold_vectors(
-        self, model, representation, *, n_workers, pool, probe_spec=None
-    ):
-        raise NotImplementedError
 
-
-class FewRunsDesign(_VectorCacheMixin):
+class FewRunsDesign(_Design):
     """Use-case-1 featurization, shared across a grid of cells.
 
     Construction performs all representation-independent work: training
     probes are sampled and profiled into the feature matrix ``X`` (with
     ``groups`` labels), evaluation probes are profiled per benchmark,
-    and measured relative-time distributions are extracted.  Identical,
-    row for row, to what :func:`repro.core.predictors.build_few_runs_rows`
-    plus the evaluation-probe loop produce.
+    and measured relative-time distributions are extracted.  Only the
+    targets depend on the representation.
     """
 
     def __init__(
@@ -364,7 +405,7 @@ class FewRunsDesign(_VectorCacheMixin):
         n_probe_runs: int = 10,
         n_replicas: int = 8,
         feature_config: FeatureConfig | None = None,
-        seed: int = _PROBE_SEED,
+        seed: int = DEFAULT_PROBE_SEED,
     ) -> None:
         super().__init__()
         check_positive_int(n_probe_runs, name="n_probe_runs")
@@ -400,18 +441,30 @@ class FewRunsDesign(_VectorCacheMixin):
             self.measured[name] = campaign.relative_times()
         self.X = np.asarray(rows_x)
         self.groups = np.asarray(groups)
-        self._targets: dict[str, np.ndarray] = {}
         self._scaled_folds: dict = {}
         self._sketch_features: dict[str, dict[str, np.ndarray]] = {}
 
-    def sketch_probe_features(self, probe_spec) -> dict[str, np.ndarray]:
+    def _encode(self, representation: DistributionRepresentation) -> tuple:
+        # Every training row of a benchmark targets its full measured
+        # distribution; X, the probe rows and the fold scalers are shared
+        # by every encoding.
+        rows = []
+        for name in self.names:
+            target = representation.encode(self.measured[name])
+            rows.extend([target] * self.n_replicas)
+        return self.X, np.asarray(rows), self.probe_features, self._scaled_folds
+
+    def sketch_probe_features(
+        self, representation: DistributionRepresentation, probe_spec
+    ) -> dict[str, np.ndarray]:
         """Per-benchmark eval features recovered from sketched probes.
 
         Each evaluation probe — the *same* sampled probe campaign the
         full-sample path profiles — is summarized to percentiles per the
         :class:`~repro.core.sketch.SketchProbeSpec` and featurized from
         the sketch alone (training rows are untouched: train-full,
-        predict-from-percentiles).  Cached per spec key.
+        predict-from-percentiles).  The rows hold no encoded block, so
+        they are cached per spec key whatever the *representation*.
         """
         hit = self._sketch_features.get(probe_spec.key)
         if hit is not None:
@@ -425,64 +478,16 @@ class FewRunsDesign(_VectorCacheMixin):
         self._sketch_features[probe_spec.key] = features
         return features
 
-    def target_matrix(self, representation: DistributionRepresentation) -> np.ndarray:
-        """Encoded full-distribution targets, one row per training row.
 
-        Cached per encoding key — the two moment representations share
-        one matrix.
-        """
-        key = representation.encoding_key
-        Y = self._targets.get(key)
-        if Y is None:
-            obs.counter("engine.targets.misses")
-            rows = []
-            for name in self.names:
-                target = representation.encode(self.measured[name])
-                rows.extend([target] * self.n_replicas)
-            Y = np.asarray(rows)
-            self._targets[key] = Y
-        else:
-            obs.counter("engine.targets.hits")
-        return Y
-
-    def rows(self, representation: DistributionRepresentation):
-        """(X, Y, groups) — bit-identical to ``build_few_runs_rows``."""
-        return self.X, self.target_matrix(representation), self.groups
-
-    def _compute_fold_vectors(
-        self, model, representation, *, n_workers, pool, probe_spec=None
-    ):
-        # Use case 1 has one feature matrix for every encoding, so a
-        # single binned cache entry covers the whole grid.
-        binned = self._binned_matrix(self.X, "uc1") if _hist_model(model) else None
-        if probe_spec is None:
-            probe_features_map = self.probe_features
-        else:
-            probe_features_map = self.sketch_probe_features(probe_spec)
-        return logo_fold_vectors(
-            self.X,
-            self.target_matrix(representation),
-            self.groups,
-            probe_features_map,
-            model,
-            n_workers=n_workers,
-            scaled_folds=self._scaled_folds,
-            pool=pool,
-            binned=binned,
-        )
-
-
-class CrossSystemDesign(_VectorCacheMixin):
+class CrossSystemDesign(_Design):
     """Use-case-2 featurization, shared across a grid of cells.
 
     The use-case-2 feature rows concatenate a profile block with the
     *encoded* source distribution, so the design matrix itself depends on
     the representation's encoding.  Construction does everything
     upstream of that — bootstrap replica sampling, profile featurization
-    and relative-time extraction — and :meth:`rows` assembles the
-    per-encoding matrices on demand (cached by encoding key).  Row
-    order and values match
-    :func:`repro.core.predictors.build_cross_system_rows` exactly.
+    and relative-time extraction — and the per-encoding matrices are
+    assembled on first use.
     """
 
     def __init__(
@@ -493,7 +498,7 @@ class CrossSystemDesign(_VectorCacheMixin):
         n_replicas: int = 4,
         replica_fraction: float = 0.5,
         feature_config: FeatureConfig | None = None,
-        seed: int = _PROBE_SEED,
+        seed: int = DEFAULT_PROBE_SEED,
     ) -> None:
         super().__init__()
         check_positive_int(n_replicas, name="n_replicas")
@@ -529,9 +534,26 @@ class CrossSystemDesign(_VectorCacheMixin):
             self._source_full[name] = src
             self.measured[name] = dst.relative_times()
         self.groups = np.asarray(groups)
-        self._matrices: dict[str, tuple] = {}
         self._sketch_probes: dict[str, dict] = {}
         self._sketch_rows: dict[tuple[str, str], dict[str, np.ndarray]] = {}
+
+    def _encode(self, representation: DistributionRepresentation) -> tuple:
+        rows_x, rows_y = [], []
+        probe: dict[str, np.ndarray] = {}
+        for name in self.names:
+            y = representation.encode(self.measured[name])
+            for prof, times in zip(self._profiles[name], self._src_times[name]):
+                rows_x.append(np.concatenate([prof, representation.encode(times)]))
+                rows_y.append(y)
+            # Evaluation features reuse the full-campaign replica.
+            probe[name] = np.concatenate(
+                [
+                    self._profiles[name][0],
+                    representation.encode(self._src_times[name][0]),
+                ]
+            )
+        # The fold scalers depend on X, which is per encoding here.
+        return np.asarray(rows_x), np.asarray(rows_y), probe, {}
 
     def sketch_probe_features(
         self, representation: DistributionRepresentation, probe_spec
@@ -565,67 +587,3 @@ class CrossSystemDesign(_VectorCacheMixin):
         }
         self._sketch_rows[key] = rows
         return rows
-
-    def rows(self, representation: DistributionRepresentation):
-        """(X, Y, groups) — bit-identical to ``build_cross_system_rows``."""
-        X, Y, _probe, _folds = self._encoded(representation)
-        return X, Y, self.groups
-
-    def probe_matrix(self, representation: DistributionRepresentation):
-        """Per-benchmark evaluation features (full source campaign)."""
-        _X, _Y, probe, _folds = self._encoded(representation)
-        return probe
-
-    def _encoded(self, representation: DistributionRepresentation):
-        key = representation.encoding_key
-        cached = self._matrices.get(key)
-        if cached is None:
-            obs.counter("engine.targets.misses")
-            rows_x, rows_y = [], []
-            probe: dict[str, np.ndarray] = {}
-            for name in self.names:
-                y = representation.encode(self.measured[name])
-                for prof, times in zip(self._profiles[name], self._src_times[name]):
-                    rows_x.append(
-                        np.concatenate([prof, representation.encode(times)])
-                    )
-                    rows_y.append(y)
-                # Evaluation features reuse the full-campaign replica.
-                probe[name] = np.concatenate(
-                    [
-                        self._profiles[name][0],
-                        representation.encode(self._src_times[name][0]),
-                    ]
-                )
-            cached = (np.asarray(rows_x), np.asarray(rows_y), probe, {})
-            self._matrices[key] = cached
-        else:
-            obs.counter("engine.targets.hits")
-        return cached
-
-    def _compute_fold_vectors(
-        self, model, representation, *, n_workers, pool, probe_spec=None
-    ):
-        X, Y, probe, folds = self._encoded(representation)
-        if probe_spec is not None:
-            # Training matrices stay full-sample; only the held-out
-            # evaluation rows switch to sketch recovery.
-            probe = self.sketch_probe_features(representation, probe_spec)
-        # Use case 2's feature rows embed the encoded source
-        # distribution, so the binned matrix is per encoding.
-        binned = (
-            self._binned_matrix(X, representation.encoding_key)
-            if _hist_model(model)
-            else None
-        )
-        return logo_fold_vectors(
-            X,
-            Y,
-            self.groups,
-            probe,
-            model,
-            n_workers=n_workers,
-            scaled_folds=folds,
-            pool=pool,
-            binned=binned,
-        )

@@ -158,6 +158,20 @@ def _require_config(config: EvalConfig | None, api: str) -> EvalConfig:
     return config
 
 
+def _score_cell(cfg: EvalConfig, design, pool) -> ColumnTable:
+    """KS table of *cfg*'s (representation, model) cell on *design*."""
+    rep = cfg.resolve_representation()
+    vectors = design.fold_vectors(
+        cfg.resolve_model(),
+        rep,
+        model_key=cfg.model_key(),
+        n_workers=cfg.n_workers,
+        pool=pool,
+        probe_spec=cfg.probe_spec(),
+    )
+    return score_fold_vectors(vectors, rep, design.measured, seed=cfg.seed)
+
+
 def evaluate_few_runs(
     campaigns: dict[str, RunCampaign] | None = None,
     config: EvalConfig | None = None,
@@ -182,7 +196,6 @@ def evaluate_few_runs(
     warm workers (and their shared-memory plane) across calls.
     """
     cfg = _require_config(config, "evaluate_few_runs")
-    rep = cfg.resolve_representation()
     if design is None:
         if campaigns is None:
             raise ValidationError("need campaigns or a prebuilt design")
@@ -193,15 +206,7 @@ def evaluate_few_runs(
             feature_config=cfg.feature_config,
             seed=cfg.seed,
         )
-    vectors = design.fold_vectors(
-        cfg.resolve_model(),
-        rep,
-        model_key=cfg.model_key(),
-        n_workers=cfg.n_workers,
-        pool=pool,
-        probe_spec=cfg.probe_spec(),
-    )
-    return score_fold_vectors(vectors, rep, design.measured, seed=cfg.seed)
+    return _score_cell(cfg, design, pool)
 
 
 def evaluate_cross_system(
@@ -217,36 +222,21 @@ def evaluate_cross_system(
     Called as ``evaluate_cross_system(src, dst, config=EvalConfig(...))``.
     Accepts a prebuilt :class:`~repro.core.engine.CrossSystemDesign` like
     :func:`evaluate_few_runs` does for use case 1, and a persistent
-    ``pool`` like it too.
+    ``pool`` like it too.  Only the benchmarks measured on both systems
+    take part.
     """
     cfg = _require_config(config, "evaluate_cross_system")
-    rep = cfg.resolve_representation()
     if design is None:
         if source is None or target is None:
             raise ValidationError("need campaigns or a prebuilt design")
-        common = sorted(set(source) & set(target))
-        if len(common) < 2:
-            raise ValidationError(
-                "need at least two benchmarks common to both systems"
-            )
         design = CrossSystemDesign(
-            {k: source[k] for k in common},
-            {k: target[k] for k in common},
+            source,
+            target,
             n_replicas=cfg.replicas(4),
             feature_config=cfg.feature_config,
             seed=cfg.seed,
         )
-    elif len(design.names) < 2:
-        raise ValidationError("need at least two benchmarks common to both systems")
-    vectors = design.fold_vectors(
-        cfg.resolve_model(),
-        rep,
-        model_key=cfg.model_key(),
-        n_workers=cfg.n_workers,
-        pool=pool,
-        probe_spec=cfg.probe_spec(),
-    )
-    return score_fold_vectors(vectors, rep, design.measured, seed=cfg.seed)
+    return _score_cell(cfg, design, pool)
 
 
 @dataclass(frozen=True)

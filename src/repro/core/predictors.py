@@ -29,6 +29,7 @@ from ..errors import NotFittedError, ValidationError
 from ..ml.base import Regressor
 from ..ml.knn import KNNRegressor
 from ..ml.scaling import RobustScaler
+from .config import DEFAULT_PROBE_SEED
 from .features import FeatureConfig
 from .representations import (
     DistributionRepresentation,
@@ -37,101 +38,90 @@ from .representations import (
 )
 from .sketch import as_probe
 
-__all__ = [
-    "FewRunsPredictor",
-    "CrossSystemPredictor",
-    "build_few_runs_rows",
-    "build_cross_system_rows",
-]
-
-_PROBE_SEED = 909090
+__all__ = ["FewRunsPredictor", "CrossSystemPredictor"]
 
 
-def _check_parts(owner: str, model, representation) -> None:
-    """Reject a model or representation that is not an instance.
+class _Predictor:
+    """What both pipelines share: checks, persistence, fit tail, predict path.
 
-    Registry names (``"knn"``, ``"histogram"``) resolve through
-    :class:`~repro.core.config.PredictConfig`; the constructors take
-    instances only, so a name fails here rather than deep inside ``fit``.
+    A predictor adds its fields, ``from_config``, a ``fit`` that builds
+    its use case's design and hands it to :meth:`_fit_design`, and
+    ``_probe_row(probe, assumption)``, the feature row it predicts from.
+    Predicting needs no design, so ``fit`` imports it and this module
+    does not import the engine.
     """
-    for what, value, kind in (
-        ("model", model, Regressor),
-        ("representation", representation, DistributionRepresentation),
-    ):
-        if not isinstance(value, kind):
-            raise ValidationError(
-                f"{owner} {what} must be a {kind.__name__} instance, got "
-                f"{value!r}; build from registry names with "
-                f"{owner}.from_config(PredictConfig(...))"
-            )
 
+    def __post_init__(self) -> None:
+        """Reject registry names passed where instances belong.
 
-def build_few_runs_rows(
-    campaigns: dict[str, RunCampaign],
-    representation: DistributionRepresentation,
-    *,
-    n_probe_runs: int = 10,
-    n_replicas: int = 8,
-    feature_config: FeatureConfig | None = None,
-    seed: int = _PROBE_SEED,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Training rows for use case 1.
+        Registry names (``"knn"``, ``"histogram"``) resolve through
+        :class:`~repro.core.config.PredictConfig`; the constructors take
+        instances only, so a name fails here rather than deep inside
+        ``fit``.
+        """
+        owner = type(self).__name__
+        for what, value, kind in (
+            ("model", self.model, Regressor),
+            ("representation", self.representation, DistributionRepresentation),
+        ):
+            if not isinstance(value, kind):
+                raise ValidationError(
+                    f"{owner} {what} must be a {kind.__name__} instance, got "
+                    f"{value!r}; build from registry names with "
+                    f"{owner}.from_config(PredictConfig(...))"
+                )
 
-    For every benchmark campaign, draw ``n_replicas`` independent
-    ``n_probe_runs``-run probes; each contributes one row whose features
-    are the probe's profile and whose target is the representation of the
-    **full** measured relative-time distribution.
+    def to_bytes(self) -> bytes:
+        """Versioned wire form (see :mod:`repro.serving.serialization`)."""
+        from ..serving.serialization import to_bytes
 
-    Returns (X, Y, groups) where groups holds the benchmark name per row —
-    the unit the leave-one-group-out protocol holds out.
-    """
-    from .engine import FewRunsDesign
+        return to_bytes(self)
 
-    design = FewRunsDesign(
-        campaigns,
-        n_probe_runs=n_probe_runs,
-        n_replicas=n_replicas,
-        feature_config=feature_config,
-        seed=seed,
-    )
-    return design.rows(representation)
+    @classmethod
+    def from_bytes(cls, blob: bytes):
+        """Inverse of :meth:`to_bytes`, with load-time schema checking."""
+        from ..serving.serialization import from_bytes
 
+        return from_bytes(blob, expect=cls)
 
-def build_cross_system_rows(
-    source: dict[str, RunCampaign],
-    target: dict[str, RunCampaign],
-    representation: DistributionRepresentation,
-    *,
-    n_replicas: int = 4,
-    replica_fraction: float = 0.5,
-    feature_config: FeatureConfig | None = None,
-    seed: int = _PROBE_SEED,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Training rows for use case 2.
+    def _fit_design(self, design):
+        """Robust-scale the design's rows and fit a clone of the model."""
+        X, Y, groups = design.rows(self.representation)
+        self.scaler_ = RobustScaler().fit(X)
+        self.model_ = self.model.clone().fit(self.scaler_.transform(X), Y)
+        self.groups_ = groups
+        return self
 
-    Features: the full-campaign profile on the source system concatenated
-    with the encoded source distribution.  Target: the encoded
-    distribution on the target system.  ``n_replicas`` bootstrap
-    half-campaign replicas per benchmark augment the training set (probe
-    noise regularization); the first replica of each benchmark uses the
-    complete campaign.
-    """
-    from .engine import CrossSystemDesign
+    def predict_vector(self, probe) -> np.ndarray:
+        """Predicted representation vector for a probe.
 
-    design = CrossSystemDesign(
-        source,
-        target,
-        n_replicas=n_replicas,
-        replica_fraction=replica_fraction,
-        feature_config=feature_config,
-        seed=seed,
-    )
-    return design.rows(representation)
+        *probe* is any :data:`~repro.core.sketch.Probe` input: a raw
+        :class:`~repro.data.dataset.RunCampaign` (or
+        :class:`~repro.core.sketch.SampleProbe`) goes through the
+        historical sample path bit for bit; a percentile-only
+        :class:`~repro.core.sketch.SketchProbe` recovers the same row
+        under this predictor's ``assumption``.
+        """
+        if not hasattr(self, "model_"):
+            raise NotFittedError(f"{type(self).__name__}.fit has not been called")
+        x = self._probe_row(
+            as_probe(probe), getattr(self, "assumption", "lognormal")
+        )[None, :]
+        return self.model_.predict(self.scaler_.transform(x))[0]
+
+    def predict_distribution(self, probe) -> ReconstructedDistribution:
+        """Predicted relative-time distribution for a probe."""
+        return self.representation.reconstruct(self.predict_vector(probe))
 
 
 @dataclass
-class FewRunsPredictor:
+class FewRunsPredictor(_Predictor):
     """Use case 1: predict a distribution from a few same-system runs.
+
+    Training rows: for every benchmark campaign, ``n_replicas``
+    independent ``n_probe_runs``-run probes, each profiled into one row
+    whose target is the representation of the **full** measured
+    relative-time distribution.
 
     Example
     -------
@@ -150,12 +140,8 @@ class FewRunsPredictor:
     n_probe_runs: int = 10
     n_replicas: int = 8
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
-    seed: int = _PROBE_SEED
+    seed: int = DEFAULT_PROBE_SEED
     assumption: str = "lognormal"
-
-    def __post_init__(self) -> None:
-        """Reject registry names passed where instances belong."""
-        _check_parts(type(self).__name__, self.model, self.representation)
 
     @classmethod
     def from_config(cls, config) -> "FewRunsPredictor":
@@ -175,73 +161,42 @@ class FewRunsPredictor:
             assumption=getattr(config, "assumption", "lognormal"),
         )
 
-    def to_bytes(self) -> bytes:
-        """Versioned wire form (see :mod:`repro.serving.serialization`)."""
-        from ..serving.serialization import to_bytes
-
-        return to_bytes(self)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "FewRunsPredictor":
-        """Inverse of :meth:`to_bytes`, with load-time schema checking."""
-        from ..serving.serialization import from_bytes
-
-        return from_bytes(blob, expect=cls)
-
     def fit(self, campaigns: dict[str, RunCampaign], *, exclude: tuple[str, ...] = ()) -> "FewRunsPredictor":
         """Train on measured campaigns (optionally excluding benchmarks).
 
         ``exclude`` implements the leave-one-group-out protocol: the
         benchmark under evaluation must not contribute training rows.
         """
+        from .engine import FewRunsDesign
+
         train = {k: v for k, v in campaigns.items() if k not in set(exclude)}
         if not train:
             raise ValidationError("no campaigns left to train on")
-        X, Y, groups = build_few_runs_rows(
-            train,
-            self.representation,
-            n_probe_runs=self.n_probe_runs,
-            n_replicas=self.n_replicas,
-            feature_config=self.feature_config,
-            seed=self.seed,
+        return self._fit_design(
+            FewRunsDesign(
+                train,
+                n_probe_runs=self.n_probe_runs,
+                n_replicas=self.n_replicas,
+                feature_config=self.feature_config,
+                seed=self.seed,
+            )
         )
-        self.scaler_ = RobustScaler().fit(X)
-        self.model_ = self.model.clone().fit(self.scaler_.transform(X), Y)
-        self.groups_ = groups
-        return self
 
-    def _check_fitted(self) -> None:
-        if not hasattr(self, "model_"):
-            raise NotFittedError("FewRunsPredictor.fit has not been called")
-
-    def predict_vector(self, probe) -> np.ndarray:
-        """Predicted representation vector for a probe.
-
-        *probe* is any :data:`~repro.core.sketch.Probe` input: a raw
-        :class:`~repro.data.dataset.RunCampaign` (or
-        :class:`~repro.core.sketch.SampleProbe`) goes through the
-        historical sample path bit for bit; a percentile-only
-        :class:`~repro.core.sketch.SketchProbe` recovers the same
-        features under this predictor's ``assumption``.
-        """
-        self._check_fitted()
-        x = as_probe(probe).features(
-            self.feature_config,
-            assumption=getattr(self, "assumption", "lognormal"),
-        )[None, :]
-        return self.model_.predict(self.scaler_.transform(x))[0]
-
-    def predict_distribution(self, probe) -> ReconstructedDistribution:
-        """Predicted relative-time distribution for a probe."""
-        return self.representation.reconstruct(self.predict_vector(probe))
+    def _probe_row(self, probe, assumption: str) -> np.ndarray:
+        return probe.features(self.feature_config, assumption=assumption)
 
 
 @dataclass
-class CrossSystemPredictor:
+class CrossSystemPredictor(_Predictor):
     """Use case 2: predict a distribution on a new system.
 
     Trained from benchmarks measured on both systems; at prediction time
     only the source-system campaign of the new application is needed.
+    Features: the profile on the source system concatenated with the
+    encoded source distribution; target: the encoded distribution on the
+    target system.  ``n_replicas`` bootstrap half-campaign replicas per
+    benchmark augment the training set, the first of each being the
+    complete campaign.
     """
 
     model: Regressor = field(default_factory=lambda: KNNRegressor(15, metric="cosine"))
@@ -250,12 +205,8 @@ class CrossSystemPredictor:
     )
     n_replicas: int = 4
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
-    seed: int = _PROBE_SEED
+    seed: int = DEFAULT_PROBE_SEED
     assumption: str = "lognormal"
-
-    def __post_init__(self) -> None:
-        """Reject registry names passed where instances belong."""
-        _check_parts(type(self).__name__, self.model, self.representation)
 
     @classmethod
     def from_config(cls, config) -> "CrossSystemPredictor":
@@ -272,19 +223,6 @@ class CrossSystemPredictor:
             assumption=getattr(config, "assumption", "lognormal"),
         )
 
-    def to_bytes(self) -> bytes:
-        """Versioned wire form (see :mod:`repro.serving.serialization`)."""
-        from ..serving.serialization import to_bytes
-
-        return to_bytes(self)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "CrossSystemPredictor":
-        """Inverse of :meth:`to_bytes`, with load-time schema checking."""
-        from ..serving.serialization import from_bytes
-
-        return from_bytes(blob, expect=cls)
-
     def fit(
         self,
         source: dict[str, RunCampaign],
@@ -293,44 +231,24 @@ class CrossSystemPredictor:
         exclude: tuple[str, ...] = (),
     ) -> "CrossSystemPredictor":
         """Train the system-to-system mapping."""
+        from .engine import CrossSystemDesign
+
         excl = set(exclude)
-        src = {k: v for k, v in source.items() if k not in excl}
-        dst = {k: v for k, v in target.items() if k not in excl}
-        X, Y, groups = build_cross_system_rows(
-            src,
-            dst,
-            self.representation,
-            n_replicas=self.n_replicas,
-            feature_config=self.feature_config,
-            seed=self.seed,
+        return self._fit_design(
+            CrossSystemDesign(
+                {k: v for k, v in source.items() if k not in excl},
+                {k: v for k, v in target.items() if k not in excl},
+                n_replicas=self.n_replicas,
+                feature_config=self.feature_config,
+                seed=self.seed,
+            )
         )
-        self.scaler_ = RobustScaler().fit(X)
-        self.model_ = self.model.clone().fit(self.scaler_.transform(X), Y)
-        self.groups_ = groups
-        return self
 
-    def _check_fitted(self) -> None:
-        if not hasattr(self, "model_"):
-            raise NotFittedError("CrossSystemPredictor.fit has not been called")
-
-    def predict_vector(self, probe) -> np.ndarray:
-        """Predicted target-system representation vector.
-
-        *probe* is any :data:`~repro.core.sketch.Probe` input measured on
-        the **source** system; sketch probes recover both the profile
-        features and the encoded source distribution from percentiles.
-        """
-        self._check_fitted()
-        assumption = getattr(self, "assumption", "lognormal")
-        p = as_probe(probe)
-        x = np.concatenate(
+    def _probe_row(self, probe, assumption: str) -> np.ndarray:
+        # Sketch probes recover both blocks from the source percentiles.
+        return np.concatenate(
             [
-                p.features(self.feature_config, assumption=assumption),
-                p.encode_distribution(self.representation, assumption=assumption),
+                probe.features(self.feature_config, assumption=assumption),
+                probe.encode_distribution(self.representation, assumption=assumption),
             ]
-        )[None, :]
-        return self.model_.predict(self.scaler_.transform(x))[0]
-
-    def predict_distribution(self, probe) -> ReconstructedDistribution:
-        """Predicted relative-time distribution on the target system."""
-        return self.representation.reconstruct(self.predict_vector(probe))
+        )

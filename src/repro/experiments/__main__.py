@@ -114,34 +114,34 @@ _FIG9_BENCHMARKS = (
 )
 
 
-def run_fig5(cfg, out):
-    """Fig. 5 — UC1 measured-vs-predicted overlay examples."""
+def _print_overlays(examples, name, out):
+    """Render overlay examples by ascending KS and export them as *name*."""
     from ..viz.ascii import overlay_ascii
 
-    campaigns = usecase1.measure_campaigns(cfg, "intel")
-    available = tuple(b for b in _FIG5_BENCHMARKS if b in campaigns)
-    examples = usecase1.overlay_examples(campaigns, available, cfg)
     series = {}
     for ex in sorted(examples, key=lambda e: e.ks):
         print(f"\n{ex.benchmark}  KS={ex.ks:.3f}")
         print(overlay_ascii(ex.measured, ex.predicted, label=ex.benchmark.split("/")[1]))
         series[ex.benchmark] = {"ks": ex.ks, "measured": ex.measured, "predicted": ex.predicted}
-    export_series(series, "fig5_uc1_overlays", out)
+    export_series(series, name, out)
+
+
+def run_fig5(cfg, out):
+    """Fig. 5 — UC1 measured-vs-predicted overlay examples."""
+    campaigns = usecase1.measure_campaigns(cfg, "intel")
+    available = tuple(b for b in _FIG5_BENCHMARKS if b in campaigns)
+    _print_overlays(
+        usecase1.overlay_examples(campaigns, available, cfg), "fig5_uc1_overlays", out
+    )
 
 
 def run_fig9(cfg, out):
     """Fig. 9 — UC2 measured-vs-predicted overlay examples."""
-    from ..viz.ascii import overlay_ascii
-
     amd, intel = usecase2.measure_both_systems(cfg)
     available = tuple(b for b in _FIG9_BENCHMARKS if b in amd and b in intel)
-    examples = usecase2.overlay_examples(amd, intel, available, cfg)
-    series = {}
-    for ex in sorted(examples, key=lambda e: e.ks):
-        print(f"\n{ex.benchmark}  KS={ex.ks:.3f}")
-        print(overlay_ascii(ex.measured, ex.predicted, label=ex.benchmark.split("/")[1]))
-        series[ex.benchmark] = {"ks": ex.ks, "measured": ex.measured, "predicted": ex.predicted}
-    export_series(series, "fig9_uc2_overlays", out)
+    _print_overlays(
+        usecase2.overlay_examples(amd, intel, available, cfg), "fig9_uc2_overlays", out
+    )
 
 
 def run_fig6(cfg, out):

@@ -39,7 +39,9 @@ class ExperimentConfig:
     eval_seed:
         Seed for probe sampling / KS draws inside evaluations.
     n_workers:
-        Process count for measurement sweeps (1 = serial).
+        Process count (1 = serial) of the measurement sweeps and of every
+        evaluation runner's LOGO fold dispatch; results are bit-identical
+        at any value.
     tree_method:
         Split-search kernel for the tree-based grid models: ``"exact"``
         (reference path, default) or ``"hist"`` (pre-binned fast path).

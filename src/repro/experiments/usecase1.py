@@ -18,12 +18,7 @@ import numpy as np
 from .. import obs, registry
 from .._validation import check_random_state
 from ..core.engine import FewRunsDesign
-from ..core.evaluation import (
-    score_fold_vectors,
-    score_vector_sets,
-    summarize_ks,
-)
-from ..core.features import FeatureConfig
+from ..core.evaluation import score_fold_vectors, score_vector_sets
 from ..core.predictors import FewRunsPredictor
 from ..data.dataset import RunCampaign
 from ..data.table import ColumnTable
@@ -73,6 +68,18 @@ def representation_model_grid(
             n_replicas=config.n_replicas_uc1,
             seed=config.eval_seed,
         )
+    return _design_grid(design, config)
+
+
+def _design_grid(design, config: ExperimentConfig) -> ColumnTable:
+    """Every (representation, model) cell of *config* on a built design.
+
+    The one grid loop of both use cases
+    (:func:`repro.experiments.usecase2.representation_model_grid` runs it
+    on a cross-system design).  Each cell's fit and score phases run in
+    ``stage`` spans inside a ``cell`` span; all cells share one
+    persistent :class:`~repro.parallel.WorkerPool`.
+    """
     frames = []
     with WorkerPool(config.n_workers) as pool:
         for rep_name in config.representations:
@@ -121,10 +128,9 @@ def sample_count_sweep(
     benchmark's 1,000-run measured sample is sorted once per size-batch
     instead of once per (size, benchmark) decode.  Bit-identical to the
     per-size :func:`~repro.core.evaluation.evaluate_few_runs` loop it
-    replaces.
+    replaces.  The model is fitted with ``config.tree_method``.
     """
     rep = registry.representation(representation)
-    mdl_key = model.lower()
     vector_sets = []
     measured = None
     with WorkerPool(config.n_workers) as pool:
@@ -135,9 +141,10 @@ def sample_count_sweep(
                 n_replicas=config.n_replicas_uc1,
                 seed=config.eval_seed,
             )
+            mdl, mdl_key = config.resolve_grid_model(model)
             vector_sets.append(
                 design.fold_vectors(
-                    registry.model(mdl_key),
+                    mdl,
                     rep,
                     model_key=mdl_key,
                     n_workers=config.n_workers,
@@ -170,6 +177,25 @@ class OverlayExample:
     predicted: np.ndarray
 
 
+def _overlay_example(
+    bench: str, predictor, probe, campaign: RunCampaign, rng
+) -> OverlayExample:
+    """Predict *bench* from *probe*, then draw and KS-score against *campaign*.
+
+    The one predict-draw-score step of both use cases' overlay runners:
+    the predicted sample has as many draws as *campaign* has runs, and
+    the sample and the KS score both consume *rng*, in that order.
+    """
+    rep = predictor.representation
+    vector = predictor.predict_vector(probe)
+    measured = campaign.relative_times()
+    predicted = rep.reconstruct(vector).sample(campaign.n_runs, rng=rng)
+    ks = rep.ks_score(vector, measured, rng=rng)
+    return OverlayExample(
+        benchmark=bench, ks=float(ks), measured=measured, predicted=predicted
+    )
+
+
 def overlay_examples(
     campaigns: dict[str, RunCampaign],
     benchmarks: tuple[str, ...],
@@ -182,7 +208,7 @@ def overlay_examples(
 
     Each selected benchmark is predicted by a model trained on every
     *other* campaign (true LOGO), probed with ``config.n_probe_runs``
-    fresh runs.
+    fresh runs.  The model is fitted with ``config.tree_method``.
     """
     rep = registry.representation(representation)
     out = []
@@ -190,7 +216,7 @@ def overlay_examples(
         if bench not in campaigns:
             continue
         predictor = FewRunsPredictor(
-            model=registry.model(model),
+            model=config.resolve_grid_model(model)[0],
             representation=rep,
             n_probe_runs=config.n_probe_runs,
             n_replicas=config.n_replicas_uc1,
@@ -200,14 +226,5 @@ def overlay_examples(
             seed_for(config.eval_seed, "overlay", bench, str(config.n_probe_runs))
         )
         probe = campaigns[bench].sample_runs(config.n_probe_runs, rng)
-        vector = predictor.predict_vector(probe)
-        recon = rep.reconstruct(vector)
-        measured = campaigns[bench].relative_times()
-        predicted = recon.sample(campaigns[bench].n_runs, rng=rng)
-        ks = rep.ks_score(vector, measured, rng=rng)
-        out.append(
-            OverlayExample(
-                benchmark=bench, ks=float(ks), measured=measured, predicted=predicted
-            )
-        )
+        out.append(_overlay_example(bench, predictor, probe, campaigns[bench], rng))
     return out

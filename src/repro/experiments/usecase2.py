@@ -8,33 +8,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .. import obs, registry
 from .._validation import check_random_state
-from ..core.engine import CrossSystemDesign
-from ..errors import ValidationError
 from ..core.config import EvalConfig
-from ..core.evaluation import (
-    evaluate_cross_system,
-    score_fold_vectors,
-)
+from ..core.engine import CrossSystemDesign
+from ..core.evaluation import evaluate_cross_system
+# Each grid scores through the loop in usecase1; bench/layers.py wraps
+# `score_fold_vectors` on both use-case modules by name, so it stays
+# importable from here.
+from ..core.evaluation import score_fold_vectors  # noqa: F401
 from ..core.predictors import CrossSystemPredictor
 from ..data.dataset import RunCampaign
 from ..data.table import ColumnTable
 from ..parallel.seeding import seed_for
 from ..parallel.worker_pool import WorkerPool
-from ..simbench.runner import measure_all
 from .config import ExperimentConfig, PAPER_CONFIG
+from .usecase1 import OverlayExample, _design_grid, _overlay_example, measure_campaigns
 
 __all__ = [
     "measure_both_systems",
     "representation_model_grid",
     "direction_study",
     "overlay_examples",
-    "CrossOverlayExample",
 ]
 
 
@@ -42,21 +37,7 @@ def measure_both_systems(
     config: ExperimentConfig = PAPER_CONFIG,
 ) -> tuple[dict[str, RunCampaign], dict[str, RunCampaign]]:
     """(amd campaigns, intel campaigns) for the configured roster."""
-    amd = measure_all(
-        "amd",
-        benchmarks=config.benchmarks,
-        n_runs=config.n_runs,
-        root_seed=config.root_seed,
-        n_workers=config.n_workers,
-    )
-    intel = measure_all(
-        "intel",
-        benchmarks=config.benchmarks,
-        n_runs=config.n_runs,
-        root_seed=config.root_seed,
-        n_workers=config.n_workers,
-    )
-    return amd, intel
+    return measure_campaigns(config, "amd"), measure_campaigns(config, "intel")
 
 
 def representation_model_grid(
@@ -66,51 +47,17 @@ def representation_model_grid(
 ) -> ColumnTable:
     """Fig. 7 data: (representation, model, benchmark, ks), source->target.
 
-    Shares one :class:`~repro.core.engine.CrossSystemDesign` across all
-    nine cells; encoding-compatible representations also share fold
-    predictions.  Phases are timed by ``stage`` spans, as in
+    Shares one :class:`~repro.core.engine.CrossSystemDesign` over the
+    benchmarks measured on both systems across all nine cells;
+    encoding-compatible representations also share fold predictions.
+    The cells run through the same loop and ``stage`` spans as
     :func:`repro.experiments.usecase1.representation_model_grid`.
     """
-    common = sorted(set(source) & set(target))
-    if len(common) < 2:
-        raise ValidationError("need at least two benchmarks common to both systems")
     with obs.span("stage", stage="featurize"):
         design = CrossSystemDesign(
-            {k: source[k] for k in common},
-            {k: target[k] for k in common},
-            n_replicas=config.n_replicas_uc2,
-            seed=config.eval_seed,
+            source, target, n_replicas=config.n_replicas_uc2, seed=config.eval_seed
         )
-    frames = []
-    with WorkerPool(config.n_workers) as pool:
-        for rep_name in config.representations:
-            rep = registry.representation(rep_name)
-            for model_name in config.models:
-                model, model_key = config.resolve_grid_model(model_name)
-                with obs.span("cell", representation=rep_name, model=model_name):
-                    with obs.span("stage", stage="fit"):
-                        vectors = design.fold_vectors(
-                            model,
-                            rep,
-                            model_key=model_key,
-                            n_workers=config.n_workers,
-                            pool=pool,
-                        )
-                    with obs.span("stage", stage="score"):
-                        tab = score_fold_vectors(
-                            vectors, rep, design.measured, seed=config.eval_seed
-                        )
-                for row in tab.rows():
-                    frames.append(
-                        {
-                            "representation": rep_name,
-                            "model": model_name,
-                            "benchmark": row["benchmark"],
-                            "suite": row["suite"],
-                            "ks": float(row["ks"]),
-                        }
-                    )
-    return ColumnTable.from_rows(frames)
+    return _design_grid(design, config)
 
 
 def direction_study(
@@ -158,16 +105,6 @@ def direction_study(
     return ColumnTable.from_rows(frames)
 
 
-@dataclass(frozen=True)
-class CrossOverlayExample:
-    """Measured vs. predicted target-system samples for one benchmark."""
-
-    benchmark: str
-    ks: float
-    measured: np.ndarray
-    predicted: np.ndarray
-
-
 def overlay_examples(
     source: dict[str, RunCampaign],
     target: dict[str, RunCampaign],
@@ -176,28 +113,22 @@ def overlay_examples(
     *,
     representation: str = "pearsonrnd",
     model: str = "knn",
-) -> list[CrossOverlayExample]:
-    """Fig. 9 data: true-LOGO cross-system overlays for selected benchmarks."""
+) -> list[OverlayExample]:
+    """Fig. 9 data: true-LOGO cross-system overlays for selected benchmarks.
+
+    The model is fitted with ``config.tree_method``.
+    """
     rep = registry.representation(representation)
     out = []
     for bench in benchmarks:
         if bench not in source or bench not in target:
             continue
         predictor = CrossSystemPredictor(
-            model=registry.model(model),
+            model=config.resolve_grid_model(model)[0],
             representation=rep,
             n_replicas=config.n_replicas_uc2,
             seed=config.eval_seed,
         ).fit(source, target, exclude=(bench,))
-        vector = predictor.predict_vector(source[bench])
-        recon = rep.reconstruct(vector)
         rng = check_random_state(seed_for(config.eval_seed, "xoverlay", bench))
-        measured = target[bench].relative_times()
-        predicted = recon.sample(target[bench].n_runs, rng=rng)
-        ks = rep.ks_score(vector, measured, rng=rng)
-        out.append(
-            CrossOverlayExample(
-                benchmark=bench, ks=float(ks), measured=measured, predicted=predicted
-            )
-        )
+        out.append(_overlay_example(bench, predictor, source[bench], target[bench], rng))
     return out

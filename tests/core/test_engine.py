@@ -10,16 +10,19 @@ import pytest
 
 from repro import registry
 from repro.core.config import EvalConfig
+from repro._validation import check_random_state
 from repro.core.engine import CrossSystemDesign, FewRunsDesign, logo_fold_vectors
 from repro.core.evaluation import evaluate_cross_system, evaluate_few_runs
-from repro.core.predictors import build_cross_system_rows, build_few_runs_rows
+from repro.core.features import FeatureConfig, profile_features
 from repro.core.representations import (
     HistogramRepresentation,
     PearsonRndRepresentation,
     PyMaxEntRepresentation,
 )
 from repro.ml.boosting import GradientBoostingRegressor
+from repro.errors import ValidationError
 from repro.ml.knn import KNNRegressor
+from repro.parallel.seeding import seed_for
 from repro.simbench.runner import measure_all
 
 BENCHES = ("npb/cg", "npb/is", "npb/bt", "rodinia/heartwall", "parsec/canneal")
@@ -53,23 +56,29 @@ class TestEncodingKeys:
 
 
 class TestFewRunsDesign:
-    def test_rows_match_build_few_runs_rows(self, small_intel):
+    def test_rows_rebuild_from_the_seed_streams(self, small_intel):
         rep = PearsonRndRepresentation()
         design = FewRunsDesign(small_intel, n_probe_runs=8, n_replicas=3, seed=5)
         X, Y, groups = design.rows(rep)
-        X2, Y2, groups2 = build_few_runs_rows(
-            small_intel, rep, n_probe_runs=8, n_replicas=3, seed=5
-        )
-        assert np.array_equal(X, X2)
-        assert np.array_equal(Y, Y2)
-        assert np.array_equal(groups, groups2)
+        names = sorted(small_intel)
+        assert list(groups) == [name for name in names for _ in range(3)]
+        for i, name in enumerate(names[:2]):
+            campaign = small_intel[name]
+            rng = check_random_state(seed_for(5, "probe", name, "8"))
+            target = rep.encode(campaign.relative_times())
+            for r in range(3):
+                probe = campaign.sample_runs(8, rng)
+                assert np.array_equal(
+                    X[3 * i + r], profile_features(probe, FeatureConfig())
+                )
+                assert np.array_equal(Y[3 * i + r], target)
 
     def test_target_matrix_cached_per_encoding(self, small_intel):
         design = FewRunsDesign(small_intel, n_probe_runs=8, n_replicas=2)
-        Y1 = design.target_matrix(PyMaxEntRepresentation())
-        Y2 = design.target_matrix(PearsonRndRepresentation())
+        _, Y1, _ = design.rows(PyMaxEntRepresentation())
+        _, Y2, _ = design.rows(PearsonRndRepresentation())
         assert Y1 is Y2  # shared encoding -> same cached matrix
-        Yh = design.target_matrix(HistogramRepresentation())
+        _, Yh, _ = design.rows(HistogramRepresentation())
         assert Yh.shape[1] != Y1.shape[1]
 
     def test_fold_vector_cache_hits_are_identical(self, small_intel):
@@ -84,23 +93,33 @@ class TestFewRunsDesign:
 
 
 class TestCrossSystemDesign:
-    def test_rows_match_build_cross_system_rows(self, small_amd, small_intel):
+    def test_rows_rebuild_from_the_seed_streams(self, small_amd, small_intel):
         rep = HistogramRepresentation()
         design = CrossSystemDesign(small_amd, small_intel, n_replicas=3, seed=9)
         X, Y, groups = design.rows(rep)
-        X2, Y2, groups2 = build_cross_system_rows(
-            small_amd, small_intel, rep, n_replicas=3, seed=9
-        )
-        assert np.array_equal(X, X2)
-        assert np.array_equal(Y, Y2)
-        assert np.array_equal(groups, groups2)
+        names = sorted(small_amd)
+        assert list(groups) == [name for name in names for _ in range(3)]
+        for i, name in enumerate(names[:2]):
+            src = small_amd[name]
+            rng = check_random_state(seed_for(9, "xsys", name))
+            target = rep.encode(small_intel[name].relative_times())
+            for r in range(3):
+                # The first replica is the whole source campaign, the
+                # rest are half-campaign draws.
+                probe = src if r == 0 else src.sample_runs(src.n_runs // 2, rng)
+                expected = np.concatenate(
+                    [
+                        profile_features(probe, FeatureConfig()),
+                        rep.encode(probe.relative_times()),
+                    ]
+                )
+                assert np.array_equal(X[3 * i + r], expected)
+                assert np.array_equal(Y[3 * i + r], target)
 
     def test_probe_matrix_matches_naive_concat(self, small_amd, small_intel):
-        from repro.core.features import profile_features
-
         rep = PearsonRndRepresentation()
         design = CrossSystemDesign(small_amd, small_intel, n_replicas=2)
-        probe = design.probe_matrix(rep)
+        _X, _Y, probe, _folds = design._encoded(rep)
         for name in BENCHES:
             expected = np.concatenate(
                 [
@@ -109,6 +128,62 @@ class TestCrossSystemDesign:
                 ]
             )
             assert np.array_equal(probe[name], expected)
+
+
+class TestAtLeastTwoBenchmarks:
+    """One check where every fold starts, with one message for both use cases."""
+
+    MESSAGE = "leave-one-group-out needs at least two benchmarks, got 1"
+
+    @staticmethod
+    def _one(campaigns):
+        return {"npb/cg": campaigns["npb/cg"]}
+
+    def test_evaluate_few_runs(self, small_intel):
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            evaluate_few_runs(
+                self._one(small_intel),
+                config=EvalConfig(n_probe_runs=8, n_replicas=2),
+            )
+
+    def test_evaluate_cross_system(self, small_amd, small_intel):
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            evaluate_cross_system(
+                self._one(small_amd), small_intel, config=EvalConfig(n_replicas=2)
+            )
+
+    def test_evaluate_cross_system_on_a_prebuilt_design(self, small_amd, small_intel):
+        design = CrossSystemDesign(self._one(small_amd), small_intel, n_replicas=2)
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            evaluate_cross_system(config=EvalConfig(), design=design)
+
+    @pytest.mark.parametrize("use_case", ["uc1", "uc2"])
+    def test_grids(self, small_amd, small_intel, use_case):
+        from repro.experiments import usecase1, usecase2
+        from repro.experiments.config import ExperimentConfig
+
+        cfg = ExperimentConfig(
+            benchmarks=("npb/cg",), n_probe_runs=8, n_replicas_uc1=2, models=("knn",)
+        )
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            if use_case == "uc1":
+                usecase1.representation_model_grid(self._one(small_intel), cfg)
+            else:
+                usecase2.representation_model_grid(
+                    self._one(small_amd), self._one(small_intel), cfg
+                )
+
+    def test_logo_fold_vectors(self, small_intel):
+        design = FewRunsDesign(self._one(small_intel), n_probe_runs=8, n_replicas=2)
+        X, Y, groups = design.rows(PearsonRndRepresentation())
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            logo_fold_vectors(
+                X, Y, groups, design.probe_features, KNNRegressor(1)
+            )
+
+    def test_no_common_benchmark_keeps_its_own_error(self, small_amd):
+        with pytest.raises(ValidationError, match="share no benchmarks"):
+            evaluate_cross_system(small_amd, {}, config=EvalConfig())
 
 
 class TestWorkerDeterminism:

@@ -3,23 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core.predictors import (
-    CrossSystemPredictor,
-    FewRunsPredictor,
-    build_cross_system_rows,
-    build_few_runs_rows,
-)
+from repro.core.engine import CrossSystemDesign, FewRunsDesign
+from repro.core.predictors import CrossSystemPredictor, FewRunsPredictor
 from repro.core.representations import HistogramRepresentation, PearsonRndRepresentation
 from repro.errors import NotFittedError, ValidationError
 from repro.ml.knn import KNNRegressor
 
 
 class TestBuildFewRunsRows:
+    """Use-case-1 training rows, as ``FewRunsDesign(...).rows`` builds them."""
+
     def test_row_counts_and_groups(self, intel_campaigns):
         rep = PearsonRndRepresentation()
-        X, Y, groups = build_few_runs_rows(
-            intel_campaigns, rep, n_probe_runs=5, n_replicas=3
-        )
+        X, Y, groups = FewRunsDesign(
+            intel_campaigns, n_probe_runs=5, n_replicas=3
+        ).rows(rep)
         n_bench = len(intel_campaigns)
         assert X.shape[0] == n_bench * 3
         assert Y.shape == (n_bench * 3, 4)
@@ -29,23 +27,23 @@ class TestBuildFewRunsRows:
 
     def test_targets_identical_within_group(self, intel_campaigns):
         rep = PearsonRndRepresentation()
-        _, Y, groups = build_few_runs_rows(
-            intel_campaigns, rep, n_probe_runs=5, n_replicas=3
-        )
+        _, Y, groups = FewRunsDesign(
+            intel_campaigns, n_probe_runs=5, n_replicas=3
+        ).rows(rep)
         name = next(iter(intel_campaigns))
         rows = Y[groups == name]
         assert np.allclose(rows, rows[0])
 
     def test_deterministic(self, intel_campaigns):
         rep = PearsonRndRepresentation()
-        X1, _, _ = build_few_runs_rows(intel_campaigns, rep, n_probe_runs=5, n_replicas=2)
-        X2, _, _ = build_few_runs_rows(intel_campaigns, rep, n_probe_runs=5, n_replicas=2)
+        X1, _, _ = FewRunsDesign(intel_campaigns, n_probe_runs=5, n_replicas=2).rows(rep)
+        X2, _, _ = FewRunsDesign(intel_campaigns, n_probe_runs=5, n_replicas=2).rows(rep)
         assert np.array_equal(X1, X2)
 
     def test_too_few_runs_rejected(self, intel_campaigns):
         rep = PearsonRndRepresentation()
         with pytest.raises(ValidationError):
-            build_few_runs_rows(intel_campaigns, rep, n_probe_runs=10_000)
+            FewRunsDesign(intel_campaigns, n_probe_runs=10_000).rows(rep)
 
 
 class TestFewRunsPredictor:
@@ -114,11 +112,13 @@ class TestConstructorsRejectRegistryNames:
 
 
 class TestBuildCrossSystemRows:
+    """Use-case-2 training rows, as ``CrossSystemDesign(...).rows`` builds them."""
+
     def test_feature_layout(self, amd_campaigns, intel_campaigns):
         rep = PearsonRndRepresentation()
-        X, Y, groups = build_cross_system_rows(
-            amd_campaigns, intel_campaigns, rep, n_replicas=2
-        )
+        X, Y, groups = CrossSystemDesign(
+            amd_campaigns, intel_campaigns, n_replicas=2
+        ).rows(rep)
         # 75 AMD metrics x 4 moments + 4 distribution moments.
         assert X.shape[1] == 75 * 4 + 4
         assert Y.shape[1] == 4
@@ -127,7 +127,7 @@ class TestBuildCrossSystemRows:
     def test_disjoint_campaigns_rejected(self, amd_campaigns):
         rep = PearsonRndRepresentation()
         with pytest.raises(ValidationError):
-            build_cross_system_rows(amd_campaigns, {}, rep)
+            CrossSystemDesign(amd_campaigns, {}).rows(rep)
 
 
 class TestCrossSystemPredictor:

@@ -183,3 +183,51 @@ class TestUseCase2Runners:
         )
         assert len(examples) == 1
         assert examples[0].predicted.size == tiny_config.n_runs
+
+
+class TestRunnersFitWithTheConfiguredTreeMethod:
+    """Every runner fits its model with ``config.tree_method``, as the grids do."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """``tree_method`` of every boosting model that reaches a fit."""
+        from repro.core import engine
+        from repro.ml.boosting import GradientBoostingRegressor
+
+        seen = []
+        for name in ("fit", "fit_binned"):
+            original = getattr(GradientBoostingRegressor, name)
+
+            def spy(self, *args, _original=original, **kwargs):
+                seen.append(self.tree_method)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(GradientBoostingRegressor, name, spy)
+        lockstep = engine.fit_predict_folds
+
+        def lockstep_spy(model, *args):
+            seen.append(model.tree_method)
+            return lockstep(model, *args)
+
+        monkeypatch.setattr(engine, "fit_predict_folds", lockstep_spy)
+        return seen
+
+    @pytest.fixture
+    def hist_config(self, tiny_config):
+        from dataclasses import replace
+
+        return replace(tiny_config, tree_method="hist", sample_counts=(2,))
+
+    def test_sample_count_sweep(self, seen, tiny_intel, hist_config):
+        sample_count_sweep(tiny_intel, hist_config, model="xgboost")
+        assert seen and set(seen) == {"hist"}
+
+    def test_uc1_overlays(self, seen, tiny_intel, hist_config):
+        overlay_examples(tiny_intel, ("npb/bt",), hist_config, model="xgboost")
+        assert seen and set(seen) == {"hist"}
+
+    def test_uc2_overlays(self, seen, tiny_amd, tiny_intel, hist_config):
+        usecase2.overlay_examples(
+            tiny_amd, tiny_intel, ("npb/bt",), hist_config, model="xgboost"
+        )
+        assert seen and set(seen) == {"hist"}

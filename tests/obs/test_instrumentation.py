@@ -3,8 +3,8 @@
 Three promises from docs/OBSERVABILITY.md:
 
 * enabling observability is bit-neutral (identical KS results);
-* `engine.*` / `cache.*` / `simbench.*` counters are deterministic
-  across worker counts;
+* `engine.*` / `binning.*` / `cache.*` / `simbench.*` counters are
+  deterministic across worker counts;
 * each grid's ``stage`` spans split its cells into featurize/fit/score.
 """
 
@@ -33,14 +33,18 @@ CFG = ExperimentConfig(
     n_workers=1,
 )
 
-DETERMINISTIC_FAMILIES = ("engine", "cache", "simbench")
+DETERMINISTIC_FAMILIES = ("engine", "binning", "cache", "simbench")
 
 
-def _run_workload(n_workers: int):
+def _run_workload(n_workers: int, use_case: str = "uc1", **overrides):
     """Measure + grid at *n_workers*; returns (ks list, counter snapshot)."""
-    cfg = replace(CFG, n_workers=n_workers)
+    cfg = replace(CFG, n_workers=n_workers, **overrides)
     campaigns = measure_campaigns(cfg, "intel")
-    grid = representation_model_grid(campaigns, cfg)
+    if use_case == "uc1":
+        grid = representation_model_grid(campaigns, cfg)
+    else:
+        amd = measure_campaigns(cfg, "amd")
+        grid = usecase2.representation_model_grid(amd, campaigns, cfg)
     return list(grid["ks"]), obs.get_registry().snapshot()["counters"]
 
 
@@ -68,6 +72,19 @@ class TestCounterDeterminism:
         ks_par, counters_par = _run_workload(workers)
         obs.disable()
         assert ks_par == ks_serial
+        assert _deterministic(counters_par) == _deterministic(counters_serial)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("use_case", ["uc1", "uc2"])
+    def test_hist_grids_match_serial(self, use_case, workers):
+        hist = dict(models=("knn", "xgboost"), tree_method="hist")
+        obs.enable()
+        ks_serial, counters_serial = _run_workload(1, use_case, **hist)
+        obs.enable()  # fresh run
+        ks_par, counters_par = _run_workload(workers, use_case, **hist)
+        obs.disable()
+        assert ks_par == ks_serial
+        assert counters_par["binning.cache_misses"] > 0
         assert _deterministic(counters_par) == _deterministic(counters_serial)
 
     def test_expected_dedup_counts(self):
@@ -122,6 +139,85 @@ class TestExactKernelCounters:
         assert {
             k: v for k, v in counters.items() if k.split(".")[0] in families
         } == EXACT_UC1_COUNTERS
+
+
+#: KS sum and counters (deterministic families plus the serial kernel's
+#: ``tree.*``/``forest.*``) of one serial CFG grid with all three models,
+#: per (use case, tree kernel).  Recorded before both use cases shared
+#: one design base and fold path; the shared path must count the same.
+GRID_PINS = {
+    ("uc1", "hist"): (17.379256166311265, {
+        "binning.cache_hits": 3,
+        "binning.cache_misses": 1,
+        "engine.fold_vectors.hits": 3,
+        "engine.fold_vectors.misses": 6,
+        "engine.folds.fitted": 30,
+        "engine.ks.scored": 45,
+        "engine.scaled_folds.hits": 25,
+        "engine.scaled_folds.misses": 5,
+        "engine.targets.hits": 4,
+        "engine.targets.misses": 2,
+        "forest.fits": 10,
+        "simbench.campaigns.measured": 5,
+        "simbench.runs.measured": 400,
+        "tree.fits": 800,
+        "tree.hist_nodes": 5240,
+        "tree.nodes": 5240,
+        "tree.rows_partitioned": 12778,
+    }),
+    ("uc2", "exact"): (16.99305249333256, {
+        "engine.fold_vectors.hits": 3,
+        "engine.fold_vectors.misses": 6,
+        "engine.folds.fitted": 30,
+        "engine.ks.scored": 45,
+        "engine.scaled_folds.hits": 20,
+        "engine.scaled_folds.misses": 10,
+        "engine.targets.hits": 4,
+        "engine.targets.misses": 2,
+        "forest.fits": 10,
+        "simbench.campaigns.measured": 10,
+        "simbench.runs.measured": 800,
+        "tree.fits": 800,
+        "tree.nodes": 5562,
+    }),
+    ("uc2", "hist"): (18.84315433369367, {
+        "binning.cache_hits": 2,
+        "binning.cache_misses": 2,
+        "engine.fold_vectors.hits": 3,
+        "engine.fold_vectors.misses": 6,
+        "engine.folds.fitted": 30,
+        "engine.ks.scored": 45,
+        "engine.scaled_folds.hits": 20,
+        "engine.scaled_folds.misses": 10,
+        "engine.targets.hits": 4,
+        "engine.targets.misses": 2,
+        "forest.fits": 10,
+        "simbench.campaigns.measured": 10,
+        "simbench.runs.measured": 800,
+        "tree.fits": 800,
+        "tree.hist_nodes": 5564,
+        "tree.nodes": 5564,
+        "tree.rows_partitioned": 26703,
+    }),
+}
+
+
+class TestGridCounterPins:
+    @pytest.mark.parametrize("use_case, tree_method", sorted(GRID_PINS))
+    def test_grid_matches_the_recorded_pass(self, use_case, tree_method):
+        ks_sum, pinned = GRID_PINS[use_case, tree_method]
+        obs.enable()
+        try:
+            ks, counters = _run_workload(
+                1, use_case, models=("knn", "rf", "xgboost"), tree_method=tree_method
+            )
+        finally:
+            obs.disable()
+        families = DETERMINISTIC_FAMILIES + ("tree", "forest")
+        assert sum(ks) == ks_sum
+        assert {
+            k: v for k, v in counters.items() if k.split(".")[0] in families
+        } == pinned
 
 
 class TestStageReconciliation:
