@@ -1,7 +1,10 @@
 """Shared infrastructure for the figure-reproduction benchmarks.
 
 Every ``test_fig*``/``test_table*`` file regenerates one table or figure
-of the paper.  Campaign measurement goes through the persistent
+of the paper by calling :func:`run_experiment`, which runs the same
+runner as ``python -m repro.experiments`` (see
+:mod:`repro.experiments.runners`), and asserts the paper's shape on what
+the runner returns.  Campaign measurement goes through the persistent
 :class:`~repro.data.campaign_cache.CampaignCache`: the first session
 simulates and stores each campaign set; every later session (and every
 later call within a session, via the in-memory LRU tier) loads the
@@ -11,14 +14,16 @@ campaigns.
 The cache directory defaults to ``.repro_cache/`` at the repository root
 and can be redirected with ``REPRO_CACHE_DIR``.
 
-Scale is controlled by ``REPRO_BENCH_SCALE``:
+Scale is controlled by ``REPRO_BENCH_SCALE``
+(:func:`repro.experiments.config.config_for_scale`):
 
 * ``paper`` (default) — the full Section-IV setup: 60 benchmarks, 1,000
   runs per campaign;
 * ``medium`` — 32 benchmarks, 500 runs (roughly 4x faster grids);
 * ``small`` — 16 benchmarks, 300 runs (CI smoke scale).
 
-Results (CSV/JSON series and terminal violins) land in ``results/``.
+Results (CSV/JSON series) land in ``results/`` at paper scale and in
+``results/<scale>/`` below it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ import os
 from functools import lru_cache
 
 from repro.data.campaign_cache import CampaignCache
-from repro.experiments.config import PAPER_CONFIG, ExperimentConfig
+from repro.experiments.config import ExperimentConfig, config_for_scale, results_dir
+from repro.experiments.runners import EXPERIMENTS
 from repro.simbench.runner import cached_measure_all
 
 __all__ = [
@@ -35,11 +41,13 @@ __all__ = [
     "campaign_cache",
     "intel_campaigns",
     "amd_campaigns",
+    "run_experiment",
     "RESULTS_DIR",
 ]
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RESULTS_DIR = os.path.join(_REPO_ROOT, "results")
+_SCALE = os.environ.get("REPRO_BENCH_SCALE", "paper").lower()
+RESULTS_DIR = results_dir(_SCALE, _REPO_ROOT)
 
 #: Default on-disk cache location for benchmark sessions.
 CACHE_DIR = os.environ.get(
@@ -50,14 +58,7 @@ CACHE_DIR = os.environ.get(
 @lru_cache(maxsize=1)
 def bench_config() -> ExperimentConfig:
     """The experiment configuration selected by REPRO_BENCH_SCALE."""
-    scale = os.environ.get("REPRO_BENCH_SCALE", "paper").lower()
-    if scale == "paper":
-        return PAPER_CONFIG
-    if scale == "medium":
-        return PAPER_CONFIG.scaled_down(n_benchmarks=32, n_runs=500)
-    if scale == "small":
-        return PAPER_CONFIG.scaled_down(n_benchmarks=16, n_runs=300)
-    raise ValueError(f"unknown REPRO_BENCH_SCALE={scale!r}")
+    return config_for_scale(_SCALE)
 
 
 @lru_cache(maxsize=1)
@@ -86,3 +87,12 @@ def intel_campaigns():
 def amd_campaigns():
     """Cached AMD-system campaigns at the configured scale."""
     return _campaigns("amd")
+
+
+def run_experiment(name: str):
+    """Run experiment *name* on the cached campaigns into :data:`RESULTS_DIR`.
+
+    Returns what the runner returns; the runner prints and exports.
+    """
+    runner, systems = EXPERIMENTS[name]
+    return runner(bench_config(), RESULTS_DIR, *map(_campaigns, systems))

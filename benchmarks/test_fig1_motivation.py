@@ -7,57 +7,15 @@ with PearsonRnd + kNN, which recovers location and spread information the
 raw samples cannot.
 """
 
-import numpy as np
-
-from repro.experiments.figures import figure1
-from repro.stats import ks_statistic
-from repro.stats.kde import GaussianKDE
-from repro.viz.ascii import density_ascii
-from repro.viz.export import export_series
-
-from _shared import RESULTS_DIR, bench_config, intel_campaigns
+from _shared import run_experiment
 
 
 def test_fig1_motivation(benchmark):
-    campaigns = intel_campaigns()
-    config = bench_config()
-
-    data = benchmark.pedantic(
-        lambda: figure1(campaigns, config), rounds=1, iterations=1
-    )
-
-    lo, hi = float(data.measured.min()) - 0.02, float(data.measured.max()) + 0.02
-    print(f"\nFig. 1 — {data.benchmark}")
-    print(density_ascii(data.measured, label="(a) measured x1000", x_range=(lo, hi)))
-    for k in sorted(data.small_samples):
-        print(
-            density_ascii(
-                data.small_samples[k], label=f"(b-e) {k} samples", x_range=(lo, hi)
-            )
-        )
-    print(density_ascii(data.predicted, label="(f) predicted from 10", x_range=(lo, hi)))
-    print(f"prediction KS = {data.prediction_ks:.3f}")
-
-    series = {
-        "benchmark": data.benchmark,
-        "measured_kde": _kde_series(data.measured),
-        "small_samples": {str(k): v for k, v in data.small_samples.items()},
-        "predicted_kde": _kde_series(data.predicted),
-        "prediction_ks": data.prediction_ks,
-    }
-    export_series(series, "fig1_motivation", RESULTS_DIR)
+    data = benchmark.pedantic(run_experiment, args=("fig1",), rounds=1, iterations=1)
 
     # Shape checks: the 10-run prediction must describe the full
     # distribution far better than the 10 raw samples do.
-    ks_raw10 = ks_statistic(data.small_samples[10], data.measured)
     assert data.prediction_ks < 0.6
     # Predicted spread within 3x of measured spread (raw 10-sample std is
     # typically far off for bimodal 376).
     assert 0.3 < data.predicted.std() / data.measured.std() < 3.0
-    print(f"10 raw samples KS = {ks_raw10:.3f} vs prediction KS = {data.prediction_ks:.3f}")
-
-
-def _kde_series(samples):
-    kde = GaussianKDE.fit(samples)
-    grid, dens = kde.evaluate_on_grid(256)
-    return {"grid": grid, "density": dens}

@@ -7,30 +7,11 @@ tails — so single-point summaries are inadequate.
 
 import numpy as np
 
-from repro.experiments.figures import figure3
-from repro.stats.kde import GaussianKDE
-from repro.viz.ascii import density_ascii
-from repro.viz.export import export_series, export_table
-
-from _shared import RESULTS_DIR, intel_campaigns
+from _shared import run_experiment
 
 
 def test_fig3_variability_zoo(benchmark):
-    campaigns = intel_campaigns()
-    table = benchmark.pedantic(lambda: figure3(campaigns), rounds=1, iterations=1)
-    export_table(table, "fig3_shape_summary", RESULTS_DIR)
-
-    print("\nFig. 3 — relative-time densities (Intel)")
-    for name in sorted(campaigns):
-        rel = campaigns[name].relative_times()
-        print(density_ascii(rel, label=name, width=56, x_range=(0.9, 1.4)))
-
-    series = {}
-    for name in sorted(campaigns):
-        kde = GaussianKDE.fit(campaigns[name].relative_times())
-        grid, dens = kde.evaluate_on_grid(128)
-        series[name] = {"grid": grid, "density": dens}
-    export_series(series, "fig3_densities", RESULTS_DIR)
+    table = benchmark.pedantic(run_experiment, args=("fig3",), rounds=1, iterations=1)
 
     stds = np.asarray(table["std"], dtype=float)
     spans = np.asarray(table["span_p01_p99"], dtype=float)
@@ -40,7 +21,3 @@ def test_fig3_variability_zoo(benchmark):
     assert stds.max() > 5.0 * stds.min()
     assert np.all(spans < 0.8)
     assert np.all(np.abs(np.asarray(table["skew"], dtype=float)) < 25.0)
-    print(
-        f"\nstd range: [{stds.min():.4f}, {stds.max():.4f}]  "
-        f"span p01-p99 range: [{spans.min():.3f}, {spans.max():.3f}]"
-    )

@@ -6,30 +6,13 @@ Paper numbers (mean KS, best model per representation): PearsonRnd 0.241
 simulated substrate; the *shape* checks below assert who wins.
 """
 
-import numpy as np
+from repro.experiments.reporting import best_by_model, best_by_representation
 
-from repro.experiments.reporting import (
-    best_by_model,
-    best_by_representation,
-    grid_mean_ks,
-    grid_report,
-)
-from repro.experiments.usecase1 import representation_model_grid
-from repro.viz.export import export_table
-
-from _shared import RESULTS_DIR, bench_config, intel_campaigns
+from _shared import run_experiment
 
 
 def test_fig4_uc1_rep_model(benchmark):
-    campaigns = intel_campaigns()
-    config = bench_config()
-
-    grid = benchmark.pedantic(
-        lambda: representation_model_grid(campaigns, config), rounds=1, iterations=1
-    )
-    export_table(grid, "fig4_uc1_grid", RESULTS_DIR)
-    export_table(grid_mean_ks(grid), "fig4_uc1_means", RESULTS_DIR)
-    print("\n" + grid_report(grid, title="Fig. 4 — UC1 representation x model"))
+    grid = benchmark.pedantic(run_experiment, args=("fig4",), rounds=1, iterations=1)
 
     by_rep = best_by_representation(grid)
     by_model = best_by_model(grid)

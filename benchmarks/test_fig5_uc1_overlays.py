@@ -1,57 +1,25 @@
 """Fig. 5 — use case 1: predicted vs. actual overlays across the KS
 spectrum (PearsonRnd + kNN, 10 runs, Intel).
 
-The paper's selected benchmarks: very narrow (359, 304, bt, heartwall),
-moderate (dtclassifier, ludomp), wide (303, 376, mrigridding), and a
-skewed long tail (streamcluster).
+The paper's selected benchmarks (``FIG5_BENCHMARKS``): very narrow
+(359, 304, bt, heartwall), moderate (dtclassifier, ludomp), wide (303,
+376, mrigridding), and a skewed long tail (streamcluster).
 """
 
 import numpy as np
 
-from repro.experiments.usecase1 import overlay_examples
+from repro.experiments.runners import FIG5_BENCHMARKS
 from repro.stats.moments import moment_vector
-from repro.viz.ascii import overlay_ascii
-from repro.viz.export import export_series
 
-from _shared import RESULTS_DIR, bench_config, intel_campaigns
-
-FIG5_BENCHMARKS = (
-    "spec_accel/359",
-    "spec_accel/304",
-    "npb/bt",
-    "rodinia/heartwall",
-    "mllib/dtclassifier",
-    "rodinia/ludomp",
-    "spec_accel/303",
-    "spec_omp/376",
-    "parboil/mrigridding",
-    "parsec/streamcluster",
-)
+from _shared import intel_campaigns, run_experiment
 
 
 def test_fig5_uc1_overlays(benchmark):
     campaigns = intel_campaigns()
-    config = bench_config()
     available = tuple(b for b in FIG5_BENCHMARKS if b in campaigns)
 
-    examples = benchmark.pedantic(
-        lambda: overlay_examples(campaigns, available, config),
-        rounds=1,
-        iterations=1,
-    )
+    examples = benchmark.pedantic(run_experiment, args=("fig5",), rounds=1, iterations=1)
     assert len(examples) == len(available)
-
-    print("\nFig. 5 — UC1 overlays (PearsonRnd + kNN, 10 runs)")
-    series = {}
-    for ex in sorted(examples, key=lambda e: e.ks):
-        print(f"\n{ex.benchmark}  KS={ex.ks:.3f}")
-        print(overlay_ascii(ex.measured, ex.predicted, label=ex.benchmark.split("/")[1]))
-        series[ex.benchmark] = {
-            "ks": ex.ks,
-            "measured": ex.measured,
-            "predicted": ex.predicted,
-        }
-    export_series(series, "fig5_uc1_overlays", RESULTS_DIR)
 
     by_name = {ex.benchmark: ex for ex in examples}
 

@@ -7,22 +7,11 @@ prediction accuracy.
 
 import numpy as np
 
-from repro.experiments.reporting import sweep_report
-from repro.experiments.usecase1 import sample_count_sweep
-from repro.viz.export import export_table
-
-from _shared import RESULTS_DIR, bench_config, intel_campaigns
+from _shared import run_experiment
 
 
 def test_fig6_uc1_samples(benchmark):
-    campaigns = intel_campaigns()
-    config = bench_config()
-
-    sweep = benchmark.pedantic(
-        lambda: sample_count_sweep(campaigns, config), rounds=1, iterations=1
-    )
-    export_table(sweep, "fig6_uc1_samples", RESULTS_DIR)
-    print("\n" + sweep_report(sweep, title="Fig. 6 — UC1 KS vs #samples"))
+    sweep = benchmark.pedantic(run_experiment, args=("fig6",), rounds=1, iterations=1)
 
     counts = np.asarray(sweep["n_samples"])
     ks = np.asarray(sweep["ks"], dtype=float)

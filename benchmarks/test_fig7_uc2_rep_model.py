@@ -9,25 +9,13 @@ from repro.experiments.reporting import (
     best_by_model,
     best_by_representation,
     grid_mean_ks,
-    grid_report,
 )
-from repro.experiments.usecase2 import representation_model_grid
-from repro.viz.export import export_table
 
-from _shared import RESULTS_DIR, amd_campaigns, bench_config, intel_campaigns
+from _shared import run_experiment
 
 
 def test_fig7_uc2_rep_model(benchmark):
-    amd = amd_campaigns()
-    intel = intel_campaigns()
-    config = bench_config()
-
-    grid = benchmark.pedantic(
-        lambda: representation_model_grid(amd, intel, config), rounds=1, iterations=1
-    )
-    export_table(grid, "fig7_uc2_grid", RESULTS_DIR)
-    export_table(grid_mean_ks(grid), "fig7_uc2_means", RESULTS_DIR)
-    print("\n" + grid_report(grid, title="Fig. 7 — UC2 representation x model (AMD->Intel)"))
+    grid = benchmark.pedantic(run_experiment, args=("fig7",), rounds=1, iterations=1)
 
     by_rep = best_by_representation(grid)
     by_model = best_by_model(grid)

@@ -6,29 +6,16 @@ slightly easier than the reverse — but only slightly.
 
 import numpy as np
 
-from repro.experiments.reporting import direction_report
-from repro.experiments.usecase2 import direction_study
-from repro.viz.export import export_table
-
-from _shared import RESULTS_DIR, amd_campaigns, bench_config, intel_campaigns
+from _shared import run_experiment
 
 
 def test_fig8_uc2_direction(benchmark):
-    amd = amd_campaigns()
-    intel = intel_campaigns()
-    config = bench_config()
-
-    table = benchmark.pedantic(
-        lambda: direction_study(amd, intel, config), rounds=1, iterations=1
-    )
-    export_table(table, "fig8_uc2_direction", RESULTS_DIR)
-    print("\n" + direction_report(table, title="Fig. 8 — UC2 direction study"))
+    table = benchmark.pedantic(run_experiment, args=("fig8",), rounds=1, iterations=1)
 
     dirs = table["direction"]
     ks = np.asarray(table["ks"], dtype=float)
     mean_a2i = float(ks[dirs == "amd_to_intel"].mean())
     mean_i2a = float(ks[dirs == "intel_to_amd"].mean())
-    print(f"mean KS amd->intel = {mean_a2i:.3f}, intel->amd = {mean_i2a:.3f}")
 
     # Paper shape: AMD->Intel no worse than Intel->AMD beyond noise, and
     # the gap stays small ("but only slightly").

@@ -1,55 +1,24 @@
 """Fig. 9 — use case 2: predicted vs. actual overlays (AMD -> Intel).
 
-Paper's selected benchmarks: narrow (is, heartwall, spmv), moderate (bfs,
-gbtclassifier, sgemm), wide (bodytrack, canneal, correlation, histo).
+Paper's selected benchmarks (``FIG9_BENCHMARKS``): narrow (is,
+heartwall, spmv), moderate (bfs, gbtclassifier, sgemm), wide (bodytrack,
+canneal, correlation, histo).
 """
 
 import numpy as np
 
-from repro.experiments.usecase2 import overlay_examples
-from repro.viz.ascii import overlay_ascii
-from repro.viz.export import export_series
+from repro.experiments.runners import FIG9_BENCHMARKS
 
-from _shared import RESULTS_DIR, amd_campaigns, bench_config, intel_campaigns
-
-FIG9_BENCHMARKS = (
-    "npb/is",
-    "rodinia/heartwall",
-    "parboil/spmv",
-    "parboil/bfs",
-    "mllib/gbtclassifier",
-    "parboil/sgemm",
-    "parsec/bodytrack",
-    "parsec/canneal",
-    "mllib/correlation",
-    "parboil/histo",
-)
+from _shared import amd_campaigns, intel_campaigns, run_experiment
 
 
 def test_fig9_uc2_overlays(benchmark):
     amd = amd_campaigns()
     intel = intel_campaigns()
-    config = bench_config()
     available = tuple(b for b in FIG9_BENCHMARKS if b in amd and b in intel)
 
-    examples = benchmark.pedantic(
-        lambda: overlay_examples(amd, intel, available, config),
-        rounds=1,
-        iterations=1,
-    )
+    examples = benchmark.pedantic(run_experiment, args=("fig9",), rounds=1, iterations=1)
     assert len(examples) == len(available)
-
-    print("\nFig. 9 — UC2 overlays (PearsonRnd + kNN, AMD -> Intel)")
-    series = {}
-    for ex in sorted(examples, key=lambda e: e.ks):
-        print(f"\n{ex.benchmark}  KS={ex.ks:.3f}")
-        print(overlay_ascii(ex.measured, ex.predicted, label=ex.benchmark.split("/")[1]))
-        series[ex.benchmark] = {
-            "ks": ex.ks,
-            "measured": ex.measured,
-            "predicted": ex.predicted,
-        }
-    export_series(series, "fig9_uc2_overlays", RESULTS_DIR)
 
     by_name = {ex.benchmark: ex for ex in examples}
 

@@ -1,14 +1,10 @@
 """Table I — the benchmark roster (7 suites, 60 benchmarks)."""
 
-from repro.experiments.figures import table1
-from repro.viz.export import export_table
-
-from _shared import RESULTS_DIR
+from _shared import run_experiment
 
 
 def test_table1_roster(benchmark):
-    table = benchmark.pedantic(table1, rounds=1, iterations=1)
-    export_table(table, "table1_roster", RESULTS_DIR)
+    table, _ = benchmark.pedantic(run_experiment, args=("tables",), rounds=1, iterations=1)
 
     suites = table["suite"]
     assert len(table) == 60
@@ -23,4 +19,3 @@ def test_table1_roster(benchmark):
         "rodinia": 10,
         "mllib": 11,
     }
-    print("\nTable I — benchmarks per suite:", counts)

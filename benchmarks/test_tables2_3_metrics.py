@@ -2,19 +2,14 @@
 
 import numpy as np
 
-from repro.experiments.figures import table2_3
-from repro.viz.export import export_table
-
-from _shared import RESULTS_DIR
+from _shared import run_experiment
 
 
 def test_tables2_3_metrics(benchmark):
-    table = benchmark.pedantic(table2_3, rounds=1, iterations=1)
-    export_table(table, "tables2_3_metrics", RESULTS_DIR)
+    _, table = benchmark.pedantic(run_experiment, args=("tables",), rounds=1, iterations=1)
 
     systems = table["system"]
     n_intel = int(np.sum(systems == "intel"))
     n_amd = int(np.sum(systems == "amd"))
     assert n_intel == 68  # Table II
     assert n_amd == 75  # Table III
-    print(f"\nTable II: {n_intel} Intel metrics; Table III: {n_amd} AMD metrics")

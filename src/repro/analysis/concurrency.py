@@ -363,16 +363,17 @@ class RawMatrixPublishRule(Rule):
 
     def check(self, source: SourceFile) -> Iterable[Finding]:
         """Flag ``publish(X)`` where the same function also binned ``X``."""
-        # Per enclosing function: names whose binned encoding was bound
-        # there via `binned = <BinMapper()>.fit_transform(X)` or the
-        # engine's `self._binned_matrix(X, key)` cache accessor.
+        # Per enclosing function: names whose binned encoding is computed
+        # there by `<BinMapper()>.fit_transform(X)` or the engine's
+        # `self._binned_matrix(X)` cache accessor, wherever the call sits
+        # (an assignment, a call keyword, an if-expression).
         binned_sources: dict[ast.AST | None, set[str]] = {}
         for node in ast.walk(source.tree):
-            if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
+            if not isinstance(node, ast.Call):
                 continue
             # Tail of the callee even through a call receiver, so
             # `BinMapper().fit_transform(X)` matches too.
-            func = node.value.func
+            func = node.func
             tail = (
                 func.attr
                 if isinstance(func, ast.Attribute)
@@ -380,7 +381,7 @@ class RawMatrixPublishRule(Rule):
             )
             if tail not in _BINNING_TAILS:
                 continue
-            arg = first_arg(node.value)
+            arg = first_arg(node)
             if isinstance(arg, ast.Name):
                 scope = enclosing_function(node, source.parent)
                 binned_sources.setdefault(scope, set()).add(arg.id)

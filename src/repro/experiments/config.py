@@ -9,10 +9,11 @@ numbers.  The paper-scale configuration matches Section IV: 60 benchmarks,
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from ..simbench.suites import benchmark_names
 
-__all__ = ["ExperimentConfig", "PAPER_CONFIG", "FAST_CONFIG"]
+__all__ = ["ExperimentConfig", "PAPER_CONFIG", "FAST_CONFIG", "config_for_scale", "results_dir"]
 
 
 @dataclass(frozen=True)
@@ -89,3 +90,30 @@ PAPER_CONFIG = ExperimentConfig()
 
 #: Small deterministic configuration for unit/integration tests.
 FAST_CONFIG = PAPER_CONFIG.scaled_down()
+
+
+def config_for_scale(scale: str, n_workers: int = 1) -> ExperimentConfig:
+    """The ``paper``, ``medium`` or ``small`` configuration on *n_workers*.
+
+    ``medium`` is 32 benchmarks x 500 runs, ``small`` 16 x 300; both
+    figure drivers resolve their scale here.
+    """
+    if scale == "paper":
+        cfg = PAPER_CONFIG
+    elif scale == "medium":
+        cfg = PAPER_CONFIG.scaled_down(n_benchmarks=32, n_runs=500)
+    elif scale == "small":
+        cfg = PAPER_CONFIG.scaled_down(n_benchmarks=16, n_runs=300)
+    else:
+        raise ValueError(f"unknown scale {scale!r}")
+    return replace(cfg, n_workers=n_workers)
+
+
+def results_dir(scale: str, root=".") -> Path:
+    """Default export directory of a run at *scale* under *root*.
+
+    ``results/`` (the committed paper-scale outputs) at paper scale,
+    ``results/<scale>/`` below it.
+    """
+    base = Path(root) / "results"
+    return base if scale == "paper" else base / scale

@@ -14,7 +14,7 @@ the use-case-1 machinery):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .._validation import check_random_state
 from ..data.catalogs import AMD_METRICS, INTEL_METRICS
 from ..data.dataset import RunCampaign
 from ..data.table import ColumnTable
+from ..errors import ValidationError
 from ..parallel.seeding import seed_for
 from ..simbench.suites import SUITES, suite_of
 from ..stats.moments import moment_vector
@@ -56,6 +57,10 @@ def figure1(
     benchmark: str = FIG1_BENCHMARK,
 ) -> Figure1Data:
     """Reproduce Fig. 1 for *benchmark* (default SPEC OMP 376)."""
+    if benchmark not in campaigns:
+        raise ValidationError(
+            f"Fig. 1 plots {benchmark!r}, not among the {len(campaigns)} measured benchmarks"
+        )
     campaign = campaigns[benchmark]
     measured = campaign.relative_times()
     rng = check_random_state(seed_for(config.eval_seed, "fig1", benchmark))
@@ -80,8 +85,8 @@ def figure3(campaigns: dict[str, RunCampaign]) -> ColumnTable:
 
     The paper shows one KDE per benchmark; the tabular form records the
     moments plus the 1%-99% relative-time span so wide/narrow/multimodal
-    structure is quantified (densities themselves are exported as series
-    by the bench target).
+    structure is quantified (the ``fig3`` runner exports the densities
+    themselves as series).
     """
     rows = []
     for name in sorted(campaigns):

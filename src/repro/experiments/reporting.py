@@ -102,5 +102,6 @@ def direction_report(table: ColumnTable, *, title: str) -> str:
     dirs = table["direction"]
     ks = np.asarray(table["ks"], dtype=np.float64)
     groups = {str(d): ks[dirs == d] for d in sorted(set(dirs))}
-    lines = [title, "=" * len(title), violin_ascii(groups)]
+    means = {name: round(float(v.mean()), 3) for name, v in groups.items()}
+    lines = [title, "=" * len(title), violin_ascii(groups), "", f"mean KS: {means}"]
     return "\n".join(lines)

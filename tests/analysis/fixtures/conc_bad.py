@@ -51,3 +51,17 @@ def publish_raw_despite_binned(store, X):
     binned = BinMapper().fit_transform(X)
     ref = store.publish(X)  # CONC005
     return binned, ref
+
+
+def publish_raw_despite_binned_keyword(design, store, X):
+    """CONC005: the binned encoding is passed on as a call keyword."""
+    payload = dict(binned=design._binned_matrix(X))
+    ref = store.publish(X)  # CONC005
+    return payload, ref
+
+
+def publish_raw_despite_binned_ifexp(design, store, X, hist):
+    """CONC005: the binned encoding is bound inside an if-expression."""
+    binned = design._binned_matrix(X) if hist else None
+    ref = store.publish(X)  # CONC005
+    return binned, ref

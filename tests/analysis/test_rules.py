@@ -58,7 +58,26 @@ class TestConcurrencyPack:
         assert hits["CONC002"] == 1  # bare local store
         assert hits["CONC003"] == 1  # raw SharedMemory(create=True)
         assert hits["CONC004"] == 2  # subscript write + .fill()
-        assert hits["CONC005"] == 1  # float64 publish with binned in scope
+        # float64 publish with binned in scope: bound by an assignment, a
+        # call keyword and an if-expression
+        assert hits["CONC005"] == 3
+
+    @pytest.mark.parametrize(
+        "function",
+        ["publish_raw_despite_binned_keyword", "publish_raw_despite_binned_ifexp"],
+    )
+    def test_binned_call_counts_wherever_it_sits(self, corpus_report, function):
+        text = (FIXTURES / "conc_bad.py").read_text().splitlines()
+        start = next(i for i, line in enumerate(text, 1) if f"def {function}(" in line)
+        publish = next(
+            i for i, line in enumerate(text, 1) if i > start and line.endswith("# CONC005")
+        )
+        flagged = {
+            f.line
+            for f in corpus_report.findings
+            if f.path == "conc_bad.py" and f.rule_id == "CONC005"
+        }
+        assert publish in flagged
 
     def test_negative_cases(self, corpus_report):
         assert not _hits(corpus_report, "conc_good.py")

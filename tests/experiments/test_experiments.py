@@ -163,6 +163,39 @@ class TestFigure1:
         assert data.small_samples[5].size == 5
         assert 0.0 <= data.prediction_ks <= 1.0
 
+    def test_missing_benchmark_is_a_validation_error(self, tiny_intel, tiny_config):
+        from repro.errors import ValidationError
+
+        campaigns = {k: v for k, v in tiny_intel.items() if k != "spec_omp/376"}
+        with pytest.raises(ValidationError, match="'spec_omp/376'"):
+            figure1(campaigns, tiny_config)
+
+
+class TestOneRunnerPerExperiment:
+    """Each experiment id's runner writes exactly its figure's files."""
+
+    FILES = {
+        "tables": {"table1_roster.csv", "tables2_3_metrics.csv"},
+        "fig1": {"fig1_motivation.json"},
+        "fig3": {"fig3_shape_summary.csv", "fig3_densities.json"},
+        "fig4": {"fig4_uc1_grid.csv", "fig4_uc1_means.csv"},
+        "fig5": {"fig5_uc1_overlays.json"},
+        "fig6": {"fig6_uc1_samples.csv"},
+        "fig7": {"fig7_uc2_grid.csv", "fig7_uc2_means.csv"},
+        "fig8": {"fig8_uc2_direction.csv"},
+        "fig9": {"fig9_uc2_overlays.json"},
+        "probes": {"probe_degradation.json"},
+    }
+
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_runner_writes_its_files(self, name, tiny_config, tiny_intel, tiny_amd, tmp_path):
+        from repro.experiments.runners import EXPERIMENTS
+
+        runner, systems = EXPERIMENTS[name]
+        campaigns = {"intel": tiny_intel, "amd": tiny_amd}
+        runner(tiny_config, tmp_path, *(campaigns[s] for s in systems))
+        assert {p.name for p in tmp_path.iterdir()} == self.FILES[name]
+
 
 class TestUseCase2Runners:
     def test_grid(self, tiny_amd, tiny_intel, tiny_config):

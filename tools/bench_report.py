@@ -21,11 +21,11 @@ kernel; the record then also carries an ``exact_reference`` block (the
 same grid re-run three times on the exact kernel, median timings) and ``ks_drift_max_vs_exact`` — the largest per-(cell, benchmark)
 KS difference between the two kernels.
 
-Every record also carries a ``probe_degradation`` block: the UC1/UC2
-grids re-scored with percentile-only :class:`SketchProbe` inputs
-(p50/p90/p95/p99) under each moment-recovery assumption, against the
-same designs trained on full distributions — the telemetry-ingestion
-accuracy cost, per representation.
+Every record also carries a ``probe_degradation`` block, the table of
+``python -m repro.experiments probes``: the UC1/UC2 grids re-scored with
+percentile-only :class:`SketchProbe` inputs (p50/p90/p95/p99) under each
+moment-recovery assumption, against the same designs trained on full
+distributions — the telemetry-ingestion accuracy cost, per representation.
 
 The KS checksum is scale- and seed-deterministic: any run at the same
 scale and tree method must reproduce it bit-for-bit, regardless of
@@ -46,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
 
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "benchmarks"))
 os.environ.setdefault("REPRO_BENCH_SCALE", "small")
 os.environ.setdefault("REPRO_CACHE_DIR", str(ROOT / ".repro_cache"))
 
@@ -57,7 +58,6 @@ def run_grid() -> dict:
     from repro.experiments.usecase1 import representation_model_grid
     from repro.parallel.pool import default_workers
 
-    sys.path.insert(0, str(ROOT / "benchmarks"))
     from _shared import bench_config, intel_campaigns
 
     cfg = bench_config()
@@ -173,83 +173,6 @@ def run_grid() -> dict:
     return record
 
 
-def probe_degradation() -> dict:
-    """Train-full / predict-sketch KS degradation (UC1 and UC2).
-
-    Both use cases are trained on full distributions and then scored
-    twice per representation: once predicting from raw probe campaigns
-    (``probe_kind="samples"`` — the paper's protocol) and once from
-    percentile-only :class:`~repro.core.sketch.SketchProbe` summaries
-    (p50/p90/p95/p99) under each moment-recovery assumption.  The
-    featurization designs are built once and shared across every cell,
-    so the sample-path numbers here are the same fold predictions the
-    main grid computes.
-    """
-    from dataclasses import replace
-
-    from repro.core.config import EvalConfig
-    from repro.core.engine import CrossSystemDesign, FewRunsDesign
-    from repro.core.evaluation import (
-        evaluate_cross_system,
-        evaluate_few_runs,
-        summarize_ks,
-    )
-    from repro.core.sketch import ASSUMPTIONS, DEFAULT_SKETCH_LEVELS
-
-    sys.path.insert(0, str(ROOT / "benchmarks"))
-    from _shared import amd_campaigns, bench_config, intel_campaigns
-
-    cfg = bench_config()
-    intel = intel_campaigns()
-    amd = amd_campaigns()
-    uc1_design = FewRunsDesign(
-        intel,
-        n_probe_runs=cfg.n_probe_runs,
-        n_replicas=cfg.n_replicas_uc1,
-        seed=cfg.eval_seed,
-    )
-    common = sorted(set(intel) & set(amd))
-    uc2_design = CrossSystemDesign(
-        {k: intel[k] for k in common},
-        {k: amd[k] for k in common},
-        n_replicas=cfg.n_replicas_uc2,
-        seed=cfg.eval_seed,
-    )
-
-    def cells(evaluate, design) -> list[dict]:
-        rows = []
-        for rep_name in cfg.representations:
-            base = EvalConfig(
-                representation=rep_name, model="knn", seed=cfg.eval_seed
-            )
-            full = summarize_ks(evaluate(config=base, design=design)).mean
-            row = {
-                "representation": rep_name,
-                "model": "knn",
-                "ks_full": full,
-            }
-            for assumption in ASSUMPTIONS:
-                sketch_cfg = replace(
-                    base, probe_kind="sketch", assumption=assumption
-                )
-                ks = summarize_ks(
-                    evaluate(config=sketch_cfg, design=design)
-                ).mean
-                row[f"ks_sketch_{assumption}"] = ks
-                row[f"degradation_{assumption}"] = ks - full
-            rows.append(row)
-        return rows
-
-    t0 = time.perf_counter()
-    record = {
-        "sketch_levels": [float(x) for x in DEFAULT_SKETCH_LEVELS],
-        "uc1": cells(evaluate_few_runs, uc1_design),
-        "uc2": cells(evaluate_cross_system, uc2_design),
-    }
-    record["wall_s"] = time.perf_counter() - t0
-    return record
-
-
 def fit_breakdown() -> dict:
     """Per-stage fit-time totals from the live obs registry.
 
@@ -317,7 +240,11 @@ def run_tier1() -> bool:
 
 def main() -> int:
     record = run_grid()
-    record["probe_degradation"] = probe_degradation()
+    from _shared import run_experiment
+
+    t0 = time.perf_counter()
+    record["probe_degradation"] = run_experiment("probes")
+    record["probe_degradation"]["wall_s"] = time.perf_counter() - t0
     stages = " | ".join(f"{k} {v:.2f}s" for k, v in record["stages_s"].items())
     print(f"[bench] {record['benchmark']} scale={record['scale']} "
           f"workers={record['n_workers']} tree_method={record['tree_method']}: "
@@ -347,16 +274,6 @@ def main() -> int:
             f"map_calls={p['pool_map_calls']} "
             f"ks_matches_serial={p['ks_matches_serial']}"
         )
-    for usecase in ("uc1", "uc2"):
-        for row in record["probe_degradation"][usecase]:
-            print(
-                f"[bench] probe {usecase} {row['representation']}/knn: "
-                f"full {row['ks_full']:.4f} sketch(lognormal) "
-                f"{row['ks_sketch_lognormal']:.4f} "
-                f"(+{row['degradation_lognormal']:.4f}) sketch(pearson) "
-                f"{row['ks_sketch_pearson']:.4f} "
-                f"(+{row['degradation_pearson']:.4f})"
-            )
     d = record["dispatch"]
     factor = d["reduction_factor"]
     print(
